@@ -13,8 +13,9 @@ Three modelled throughput views are tabled for 1-, 2-, and 3-device
 colocated pools plus the 3-device disaggregated pool: collection-only,
 sequential training, and pipelined training.  Two contracts are asserted:
 
-* **1-device anchor** — the 1-device colocated pool prices every view
-  **exactly** like the single platform (the extended oracle chain);
+* **1-device anchor** — on a 1-device colocated pool, each one-benchmark
+  fleet ``[(b, 4)]`` prices every view **exactly** like the single
+  platform's homogeneous 4-worker oracles (the extended oracle chain);
 * **scaling** — going from 1 to 2 accelerators, the modelled sequential
   *and* pipelined training steps/sec must scale by
   >= ``SCALING_CONTRACT``x (1.8).  The mixed fleet is chain-bound on
@@ -23,7 +24,7 @@ sequential training, and pipelined training.  Two contracts are asserted:
   in parallel.
 
 A reduced-scale ``train_fleet`` run on the 2-device pool is also timed and
-checked against the single-platform run's training numerics (devices
+checked against the 1-device run's training numerics (devices
 change only the modelled pricing — never the collected trajectories).
 """
 
@@ -127,20 +128,35 @@ def test_device_pool_scaling_contract(benchmark, save_report):
         )
 
     # ----- The 1-device anchor: exact single-platform equality ------------- #
-    single_views = {
-        "collection": template.fleet_collection_steps_per_second(fleet, NUM_ENVS),
-        "sequential": template.fleet_training_steps_per_second(
-            fleet, NUM_ENVS, BATCH_SIZE, pipelined=False
-        ),
-        "pipelined": template.fleet_training_steps_per_second(
-            fleet, NUM_ENVS, BATCH_SIZE, pipelined=True
-        ),
-    }
-    anchor = by_label["1 device (single platform)"]
+    # A one-benchmark fleet [(b, N)] on a 1-device pool prices exactly like
+    # the single platform's homogeneous N-worker oracles.
+    anchor_pool = AcceleratorPool(template, 1)
+    anchor_pairs = []
+    for name, _count in MIXED_FLEET:
+        single = template.for_benchmark(name)
+        homogeneous = [(name, TOTAL_WORKERS)]
+        anchor_pairs += [
+            (
+                f"{name}:{TOTAL_WORKERS} collection",
+                anchor_pool.fleet_collection_steps_per_second(homogeneous, NUM_ENVS),
+                single.collection_steps_per_second(NUM_ENVS, TOTAL_WORKERS),
+            ),
+            *(
+                (
+                    f"{name}:{TOTAL_WORKERS} {view}",
+                    anchor_pool.fleet_training_steps_per_second(
+                        homogeneous, NUM_ENVS, BATCH_SIZE, pipelined=pipelined
+                    ),
+                    single.training_steps_per_second(
+                        NUM_ENVS, TOTAL_WORKERS, BATCH_SIZE, pipelined=pipelined
+                    ),
+                )
+                for view, pipelined in (("sequential", False), ("pipelined", True))
+            ),
+        ]
     anchor_lines = [
-        f"  {view:10s}: pool {anchor[view]:10.3f} == platform "
-        f"{single_views[view]:10.3f} steps/sec"
-        for view in ("collection", "sequential", "pipelined")
+        f"  {label:25s}: pool {pooled:10.3f} == platform {single:10.3f} steps/sec"
+        for label, pooled, single in anchor_pairs
     ]
 
     # ----- The scaling contract: 1 -> 2 devices --------------------------- #
@@ -184,7 +200,7 @@ def test_device_pool_scaling_contract(benchmark, save_report):
     # ----- Measured: the pool changes pricing, not trajectories ----------- #
     pool2 = AcceleratorPool(template, 2)
     benchmark(_train_mixed, pool2, 2)
-    single_result, single_wall = _train_mixed(template)
+    single_result, single_wall = _train_mixed(AcceleratorPool(template))
     pooled_result, pooled_wall = _train_mixed(pool2, devices=2)
     for name in single_result.benchmarks:
         np.testing.assert_array_equal(
@@ -198,7 +214,7 @@ def test_device_pool_scaling_contract(benchmark, save_report):
     measured = format_table(
         [
             {
-                "run": f"{fleet_label} (1 platform)",
+                "run": f"{fleet_label} (1-device pool)",
                 "steps": single_result.total_timesteps,
                 "wall (s)": round(single_wall, 3),
             },
@@ -224,7 +240,8 @@ def test_device_pool_scaling_contract(benchmark, save_report):
                     f"batch {BATCH_SIZE}, modelled platform)"
                 ),
             ),
-            "1-device anchor (extended oracle chain — exact equality):\n"
+            "1-device anchor (extended oracle chain — one-benchmark fleet "
+            "== homogeneous platform, exact):\n"
             + "\n".join(anchor_lines),
             scaling_section,
             shard_section,
@@ -234,9 +251,9 @@ def test_device_pool_scaling_contract(benchmark, save_report):
     )
     save_report("device_pool", report)
 
-    # The extended oracle chain: a 1-device pool is the single platform.
-    for view in ("collection", "sequential", "pipelined"):
-        assert anchor[view] == single_views[view], view
+    # The extended oracle chain: one-group fleet == homogeneous platform.
+    for label, pooled, single in anchor_pairs:
+        assert pooled == single, label
     # The scaling contract.
     for view in ("sequential", "pipelined"):
         assert scaling[view] >= SCALING_CONTRACT, (view, scaling[view])

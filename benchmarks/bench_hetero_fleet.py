@@ -5,7 +5,7 @@ a heterogeneous fleet (``TrainingConfig.fleet``, e.g. ``HalfCheetah:2 +
 Hopper:2``) is the software scenario that actually exercises it: the single
 accelerator turns between back-to-back batched inferences (and streamed
 training passes) with *different* layer dimensions, priced by the
-``FixarPlatform.fleet_*`` methods.
+``fleet_*`` methods of a 1-device ``AcceleratorPool``.
 
 Three modelled throughput views are reported for the mixed fleet and its
 two homogeneous equivalents (4 workers x 8 envs each, batch 64, one update
@@ -42,7 +42,7 @@ import numpy as np
 from repro.core import format_table
 from repro.envs import benchmark_dimensions
 from repro.nn import make_numerics
-from repro.platform import FixarPlatform, WorkloadSpec
+from repro.platform import AcceleratorPool, FixarPlatform, WorkloadSpec
 from repro.rl import (
     DDPGAgent,
     DDPGConfig,
@@ -118,7 +118,7 @@ def _train_homogeneous(benchmark: str, total_timesteps: int = 384):
 def test_hetero_fleet_modelled_contract(benchmark, save_report):
     # The modelled platform prices the paper's full-size networks (default
     # hidden sizes); the measured runs below use the reduced CI-scale agents.
-    platform = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
+    pool = AcceleratorPool(FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah")))
 
     specs = [(f"{name}:{TOTAL_WORKERS}", [(name, TOTAL_WORKERS)]) for name in HOMOGENEOUS]
     specs.append(
@@ -128,11 +128,11 @@ def test_hetero_fleet_modelled_contract(benchmark, save_report):
     rows = []
     by_label = {}
     for label, fleet in specs:
-        collection = platform.fleet_collection_steps_per_second(fleet, NUM_ENVS)
-        sequential = platform.fleet_training_steps_per_second(
+        collection = pool.fleet_collection_steps_per_second(fleet, NUM_ENVS)
+        sequential = pool.fleet_training_steps_per_second(
             fleet, NUM_ENVS, BATCH_SIZE, pipelined=False
         )
-        pipelined = platform.fleet_training_steps_per_second(
+        pipelined = pool.fleet_training_steps_per_second(
             fleet, NUM_ENVS, BATCH_SIZE, pipelined=True
         )
         by_label[label] = {
@@ -144,13 +144,13 @@ def test_hetero_fleet_modelled_contract(benchmark, save_report):
             {
                 "fleet": label,
                 "collect round (ms)": round(
-                    platform.fleet_collection_round_seconds(fleet, NUM_ENVS) * 1e3, 3
+                    pool.fleet_collection_round_seconds(fleet, NUM_ENVS) * 1e3, 3
                 ),
                 "steps/sec (collect)": round(collection, 1),
                 "steps/sec (seq train)": round(sequential, 1),
                 "steps/sec (pipelined)": round(pipelined, 1),
                 "pipelined speedup": round(
-                    platform.fleet_pipelined_speedup(fleet, NUM_ENVS, BATCH_SIZE), 2
+                    pool.fleet_pipelined_speedup(fleet, NUM_ENVS, BATCH_SIZE), 2
                 ),
             }
         )
@@ -171,26 +171,26 @@ def test_hetero_fleet_modelled_contract(benchmark, save_report):
 
     # ----- Throughput-weighted rounds vs spec-order round-robin ----------- #
     # The scheduler's ThroughputWeightedPolicy prices each benchmark's
-    # host+inference chain through the platform oracle and allocates extra
+    # host+inference chain through the pool oracle and allocates extra
     # lock-steps per round to the cheaper chain; the contract is that its
     # modelled collection throughput never falls below round-robin.
     class _Group:
         def __init__(self, key, workers, width):
             self.key, self.num_workers, self.num_envs = key, workers, width
 
-    weighted_policy = ThroughputWeightedPolicy(platform=platform)
+    weighted_policy = ThroughputWeightedPolicy(platform=pool)
     weights = weighted_policy.lock_steps(
         [_Group(name.lower(), count, NUM_ENVS) for name, count in MIXED_FLEET]
     )
-    round_robin_steps = platform.fleet_collection_steps_per_second(
+    round_robin_steps = pool.fleet_collection_steps_per_second(
         list(MIXED_FLEET), NUM_ENVS
     )
-    weighted_steps = platform.fleet_collection_steps_per_second(
+    weighted_steps = pool.fleet_collection_steps_per_second(
         list(MIXED_FLEET), NUM_ENVS, weights=weights
     )
     chain_lines = []
     for name, _count in MIXED_FLEET:
-        chain = platform.fleet_collection_round_seconds([(name, 1)], NUM_ENVS)
+        chain = pool.fleet_collection_round_seconds([(name, 1)], NUM_ENVS)
         chain_lines.append(f"  {name:12s} host+inference chain {chain * 1e3:7.3f} ms")
     weighted_section = "\n".join(
         [
@@ -210,7 +210,7 @@ def test_hetero_fleet_modelled_contract(benchmark, save_report):
     )
 
     # The fleet's mixed-dimension inference round on the single accelerator.
-    inference = platform.infer_fleet(list(MIXED_FLEET), NUM_ENVS)
+    inference = pool.infer_fleet(list(MIXED_FLEET), NUM_ENVS)
     inference_line = (
         f"mixed inference round: {inference.num_states} states in "
         f"{inference.total_seconds * 1e3:.3f} ms "
@@ -302,12 +302,12 @@ def test_adaptive_schedule_across_precision_switch(save_report):
     is that its modelled end-to-end time over a run that crosses the switch
     is never worse than keeping the pre-switch static weights throughout.
     """
-    platform_full = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
+    pool_full = AcceleratorPool(FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah")))
     post_state = {
         "default": 32,
         "layers": {"actor_fc0": 16, "actor_fc1": 16, "actor_out": 16},
     }
-    platform_post = platform_full.with_precision_state(post_state)
+    pool_post = pool_full.with_precision_state(post_state)
 
     class _Group:
         def __init__(self, key, workers, width):
@@ -317,17 +317,17 @@ def test_adaptive_schedule_across_precision_switch(save_report):
         _Group(name.lower(), count, NUM_ENVS) for name, count in MIXED_FLEET
     ]
     fleet = list(MIXED_FLEET)
-    static_policy = ThroughputWeightedPolicy(platform=platform_full)
+    static_policy = ThroughputWeightedPolicy(platform=pool_full)
     adaptive_policy = ThroughputWeightedPolicy(
-        platform=platform_full, adaptive=True
+        platform=pool_full, adaptive=True
     )
     weights_pre = static_policy.lock_steps(groups)
     weights_post = (
         adaptive_policy.relock(groups, precision_state=post_state) or weights_pre
     )
 
-    def sps(platform, weights):
-        return platform.fleet_training_steps_per_second(
+    def sps(pool, weights):
+        return pool.fleet_training_steps_per_second(
             fleet, NUM_ENVS, BATCH_SIZE, weights=weights
         )
 
@@ -335,9 +335,9 @@ def test_adaptive_schedule_across_precision_switch(save_report):
     switch_fraction = 0.5
     pre_steps = total_steps * switch_fraction
     post_steps = total_steps - pre_steps
-    pre_seconds = pre_steps / sps(platform_full, weights_pre)
-    static_seconds = pre_seconds + post_steps / sps(platform_post, weights_pre)
-    adaptive_seconds = pre_seconds + post_steps / sps(platform_post, weights_post)
+    pre_seconds = pre_steps / sps(pool_full, weights_pre)
+    static_seconds = pre_seconds + post_steps / sps(pool_post, weights_pre)
+    adaptive_seconds = pre_seconds + post_steps / sps(pool_post, weights_post)
 
     save_report(
         "hetero_fleet_adaptive",
@@ -367,7 +367,7 @@ def test_adaptive_schedule_across_precision_switch(save_report):
     assert weights_post == (
         adaptive_policy.relock(groups, precision_state=post_state) or weights_pre
     )
-    assert sps(platform_post, weights_post) >= sps(platform_post, weights_pre)
+    assert sps(pool_post, weights_post) >= sps(pool_post, weights_pre)
     assert adaptive_seconds <= static_seconds
 
 

@@ -21,9 +21,10 @@ the round scheduler to throughput-weighted rounds: the benchmark with the
 cheaper modelled host+inference chain collects extra lock-steps per round.
 
 The run also prices the fleet on the modelled platform: the single
-accelerator serves back-to-back batched inferences with *different* layer
-dimensions (``FixarPlatform.infer_fleet``), and the mixed-fleet training
-round is compared against the equivalent homogeneous fleets.
+accelerator (a 1-device ``AcceleratorPool``) serves back-to-back batched
+inferences with *different* layer dimensions (``AcceleratorPool.infer_fleet``),
+and the mixed-fleet training round is compared against the equivalent
+homogeneous fleets.
 
 Run:
     python examples/train_fleet_hetero.py [--fleet HalfCheetah:1,Hopper:1] \
@@ -39,7 +40,7 @@ import numpy as np
 from repro.core import format_curve
 from repro.envs import benchmark_dimensions
 from repro.nn import DynamicFixedPointNumerics
-from repro.platform import FixarPlatform, WorkloadSpec
+from repro.platform import AcceleratorPool, FixarPlatform, WorkloadSpec
 from repro.rl import (
     DDPGAgent,
     DDPGConfig,
@@ -116,13 +117,15 @@ def main() -> None:
         schedule=args.schedule,
     )
 
-    # The weighted schedule needs a cost oracle; hand train_fleet the
-    # modelled platform so the policy can price each benchmark's chain.
-    oracle = None
-    if args.schedule == "weighted":
-        oracle = FixarPlatform(
+    # The weighted schedule needs a cost oracle; hand train_fleet a 1-device
+    # pool over the modelled platform so the policy can price each
+    # benchmark's chain.
+    pool = AcceleratorPool(
+        FixarPlatform(
             WorkloadSpec.from_benchmark(fleet_spec[0][0], hidden_sizes=HIDDEN_SIZES)
         )
+    )
+    oracle = pool if args.schedule == "weighted" else None
 
     result = train_fleet(
         agents, config, qat_controller=controller, label="fleet-qat",
@@ -145,22 +148,18 @@ def main() -> None:
 
     # Price the fleet on the modelled platform: mixed layer dimensions served
     # back to back by the single accelerator, vs the homogeneous equivalents.
-    first_benchmark = fleet_spec[0][0]
-    platform = FixarPlatform(
-        WorkloadSpec.from_benchmark(first_benchmark, hidden_sizes=HIDDEN_SIZES)
-    )
     print()
     print("modelled platform (batch 64, one update per collected step):")
-    report = platform.infer_fleet(fleet_spec, args.num_envs)
+    report = pool.infer_fleet(fleet_spec, args.num_envs)
     print(f"  fleet inference round: {report.total_seconds * 1e3:6.2f} ms "
           f"for {report.num_states} states "
           f"({report.states_per_second:,.0f} states/sec)")
-    mixed = platform.fleet_training_steps_per_second(
+    mixed = pool.fleet_training_steps_per_second(
         fleet_spec, args.num_envs, 64, pipelined=args.pipeline_depth > 0
     )
     print(f"  mixed fleet training throughput : {mixed:8.1f} steps/sec")
     for benchmark, _count, _width in fleet_spec:
-        homogeneous = platform.fleet_training_steps_per_second(
+        homogeneous = pool.fleet_training_steps_per_second(
             [(benchmark, total_workers)], args.num_envs, 64,
             pipelined=args.pipeline_depth > 0,
         )

@@ -33,7 +33,6 @@ from .rules import (
     DeterministicOracles,
     HotPathDiscipline,
     LockDiscipline,
-    OracleSurfaceParity,
     PrecisionPolicyParity,
     Rule,
     SeedingScheme,
@@ -62,7 +61,6 @@ __all__ = [
     "DeterministicOracles",
     "LockDiscipline",
     "SeedingScheme",
-    "OracleSurfaceParity",
     "ConfigCliParity",
     "PrecisionPolicyParity",
     "HotPathDiscipline",

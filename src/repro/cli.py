@@ -403,18 +403,18 @@ def _command_train_fleet(args: argparse.Namespace) -> int:
     platform = None
     if args.schedule in ("weighted", "adaptive") or args.devices > 1:
         # The throughput-weighted policy prices each benchmark's host +
-        # inference chain on the modelled platform; without an oracle it
-        # would degrade to round-robin weights.  A multi-accelerator run
-        # prices on (and assigns benchmarks over) a device pool instead.
-        platform = FixarPlatform(
-            WorkloadSpec.from_benchmark(
-                fleet_spec[0][0], hidden_sizes=tuple(args.hidden)
-            )
+        # inference chain on the device pool (the fleet oracle); without an
+        # oracle it would degrade to round-robin weights.  A
+        # multi-accelerator run also assigns benchmarks over the pool.
+        platform = AcceleratorPool(
+            FixarPlatform(
+                WorkloadSpec.from_benchmark(
+                    fleet_spec[0][0], hidden_sizes=tuple(args.hidden)
+                )
+            ),
+            args.devices,
+            placement=args.placement,
         )
-        if args.devices > 1:
-            platform = AcceleratorPool(
-                platform, args.devices, placement=args.placement
-            )
     schedule = args.schedule or (
         f"pipelined depth {args.pipeline_depth}" if args.pipeline_depth else "sequential"
     )
@@ -445,7 +445,7 @@ def _command_train_fleet(args: argparse.Namespace) -> int:
             f"{key}x{weight}" for (key, _c, _w), weight in zip(result.fleet, result.weights)
         )
         print(f"weighted rounds: lock-step allocation {allocation}")
-    if result.assignment:
+    if args.devices > 1:
         affinity = ", ".join(
             f"{key}->dev{device}" for key, device in result.assignment.items()
         )

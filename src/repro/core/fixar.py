@@ -184,7 +184,9 @@ class FixarSystem:
         )
         if result.qat_event is not None:
             self.accelerator.set_precision(PrecisionMode.HALF)
-            self.platform.half_precision = True
+            self.platform = self.platform.with_precision_state(
+                {"default": 16, "layers": {}}
+            )
         # Refresh the weights resident in the accelerator memory.
         self.accelerator.load_agent(self.agent)
         return result
@@ -206,6 +208,8 @@ class FixarSystem:
             baseline=self.baseline,
         )
         result = cosim.run()
+        # The co-simulation re-prices on a sibling platform at the switch.
+        self.platform = cosim.platform
         if result.precision_switch_timestep is not None:
             self.accelerator.set_precision(PrecisionMode.HALF)
         self.accelerator.load_agent(self.agent)

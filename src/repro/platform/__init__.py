@@ -12,8 +12,6 @@ from .fixar_platform import (
     BatchInferenceReport,
     CollectionInferenceReport,
     FixarPlatform,
-    FleetGroupInference,
-    FleetInferenceReport,
     WorkloadSpec,
 )
 from .gpu_baseline import CpuGpuPlatform, GpuAcceleratorModel, GpuConfig
@@ -21,6 +19,7 @@ from .host import HostConfig, HostModel
 from .pool import (
     PLACEMENTS,
     AcceleratorPool,
+    FleetGroupInference,
     PoolInferenceReport,
     ShardedInferenceReport,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "BatchInferenceReport",
     "CollectionInferenceReport",
     "FleetGroupInference",
-    "FleetInferenceReport",
     "AcceleratorPool",
     "PoolInferenceReport",
     "ShardedInferenceReport",

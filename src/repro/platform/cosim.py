@@ -121,7 +121,9 @@ class PlatformCoSimulation:
                     result.precision_switch_timestep = event.timestep
                     # From this point the accelerator runs its dual 16-bit
                     # datapath, which the timing model prices accordingly.
-                    self.platform.half_precision = True
+                    self.platform = self.platform.with_precision_state(
+                        {"default": 16, "layers": {}}
+                    )
 
             # ----- Functional step (host environment + agent) -------------- #
             if timestep < config.warmup_timesteps:

@@ -21,7 +21,7 @@ round trips, and :meth:`FixarPlatform.infer_batch` reports the latency,
 payload, and energy of that batched inference on its own (the quantity the
 rollout engine accumulates).
 
-The pipelined training schedule extends the fleet accounting
+The pipelined training schedule extends the collection accounting
 (:meth:`FixarPlatform.infer_collection` / ``collection_steps_per_second``)
 to full training rounds: :meth:`FixarPlatform.sequential_round_seconds`
 prices today's alternating schedule (collection *then* updates, each update
@@ -31,24 +31,19 @@ the update stream overlaps collection, so the round costs
 ``max(collection, update)`` instead of their sum, with the fixed runtime
 overhead amortized over the round's streamed updates.
 
-Heterogeneous fleets add the last dimension: collector workers that own
-*different benchmarks* present back-to-back batched inferences with
-**different layer dimensions** to the same single accelerator — the
-adaptive-parallelism scenario FIXAR's AAP core exists for.  The
-``fleet_*`` methods price those rounds: a fleet is a sequence of
-``(workload-or-benchmark, worker_count)`` entries, each priced under its
-own :class:`WorkloadSpec` (via :meth:`FixarPlatform.with_workload` /
-:meth:`FixarPlatform.for_benchmark`), with the accelerator serving every
-group's inferences serially and each benchmark's training passes
-(``train_pass_seconds`` differs per layer dimensions) folded into the
-pipelined update stream.
+A platform is one device pricing one workload, and it is immutable: a
+precision switch or another benchmark's layer dimensions arrive as a
+*sibling* platform (:meth:`FixarPlatform.with_precision_state`,
+:meth:`FixarPlatform.with_workload`, :meth:`FixarPlatform.for_benchmark`)
+sharing the same hardware models.  Heterogeneous fleet rounds — several
+benchmarks' workers on one or more devices — are priced by
+:class:`~repro.platform.AcceleratorPool`, which composes those siblings.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..accelerator import AcceleratorConfig, PowerModel, TimingModel
 from ..envs.registry import benchmark_dimensions
@@ -62,8 +57,6 @@ __all__ = [
     "FixarPlatform",
     "BatchInferenceReport",
     "CollectionInferenceReport",
-    "FleetGroupInference",
-    "FleetInferenceReport",
     "PAPER_BATCH_SIZES",
 ]
 
@@ -203,104 +196,6 @@ class CollectionInferenceReport:
         return self.num_states / self.total_seconds
 
 
-@dataclass(frozen=True)
-class FleetGroupInference:
-    """One benchmark group's slice of a fleet inference round.
-
-    ``report`` prices a single lock-step of the group (``num_workers``
-    batched inferences); ``weight`` is the group's lock-steps per scheduled
-    round, so a throughput-weighted round's report describes the round the
-    scheduler actually runs instead of the round-robin one.  The weighted
-    accessors scale the lock-step costs accordingly (``weight == 1``
-    reproduces the unweighted accounting exactly).
-    """
-
-    #: Benchmark display name.
-    benchmark: str
-    #: Cost of one of this group's lock-steps.
-    report: CollectionInferenceReport
-    #: Lock-steps this group runs per scheduled round.
-    weight: int = 1
-
-    @property
-    def num_states(self) -> int:
-        """States this group infers per scheduled round."""
-        return self.weight * self.report.num_states
-
-    @property
-    def total_seconds(self) -> float:
-        """Accelerator-serial latency of this group's round slice."""
-        return self.weight * self.report.total_seconds
-
-    @property
-    def fpga_seconds(self) -> float:
-        """Pure FPGA time of this group's round slice."""
-        return self.weight * (
-            self.report.num_workers * self.report.per_worker.fpga_seconds
-        )
-
-    @property
-    def pcie_bytes(self) -> int:
-        """Bytes this group moves over PCIe per scheduled round."""
-        return self.weight * self.report.pcie_bytes
-
-    @property
-    def energy_joules(self) -> float:
-        """FPGA board energy of this group's round slice."""
-        return self.weight * self.report.energy_joules
-
-
-@dataclass(frozen=True)
-class FleetInferenceReport:
-    """Aggregated inference cost of one *heterogeneous* fleet round.
-
-    Produced by :meth:`FixarPlatform.infer_fleet`: each benchmark group's
-    workers present their batched inferences under their own layer
-    dimensions, and the single accelerator serves every group back to back
-    — so the totals are sums of per-group :class:`FleetGroupInference`
-    costs (each a :class:`CollectionInferenceReport` scaled by the group's
-    round weight), not one report scaled by a worker count.
-    """
-
-    #: Per-benchmark group costs, in fleet order.
-    groups: Tuple[FleetGroupInference, ...]
-
-    @property
-    def num_workers(self) -> int:
-        """Workers across the whole fleet (independent of round weights)."""
-        return sum(group.report.num_workers for group in self.groups)
-
-    @property
-    def num_states(self) -> int:
-        """States inferred per fleet round."""
-        return sum(group.num_states for group in self.groups)
-
-    @property
-    def total_seconds(self) -> float:
-        """End-to-end latency of serving every group's round serially."""
-        return sum(group.total_seconds for group in self.groups)
-
-    @property
-    def fpga_seconds(self) -> float:
-        """Pure FPGA time of the fleet's inferences (update-stream term)."""
-        return sum(group.fpga_seconds for group in self.groups)
-
-    @property
-    def pcie_bytes(self) -> int:
-        """Bytes crossing PCIe per fleet round."""
-        return sum(group.pcie_bytes for group in self.groups)
-
-    @property
-    def energy_joules(self) -> float:
-        """FPGA board energy per fleet round."""
-        return sum(group.energy_joules for group in self.groups)
-
-    @property
-    def states_per_second(self) -> float:
-        """Inference throughput across the heterogeneous fleet."""
-        return self.num_states / self.total_seconds
-
-
 class FixarPlatform:
     """Timing model of the full CPU-FPGA platform."""
 
@@ -325,6 +220,18 @@ class FixarPlatform:
         #: selected by ``half_precision``.  Set through
         #: :meth:`with_precision_state`.
         self.precision_state = _normalize_precision_state(precision_state)
+        self._frozen = True
+
+    def __setattr__(self, name, value):
+        # Immutable after construction: prices are pure functions of the
+        # platform object, so callers (e.g. the rollout engine's price
+        # cache) may key on identity.  Derive a sibling instead.
+        if getattr(self, "_frozen", False):
+            raise AttributeError(
+                f"FixarPlatform is immutable; cannot set {name!r} (derive a "
+                "sibling with with_precision_state or with_workload)"
+            )
+        object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------ #
     # Mixed per-layer precision (precision-policy pricing seam)
@@ -521,10 +428,9 @@ class FixarPlatform:
         A flush is exactly one :meth:`infer_batch` pass — the N coalesced
         states ride a single PCIe round trip and one amortised forward
         pass — so the serving oracle is that report's end-to-end latency.
-        Part of the ``*_round_seconds`` surface the ``oracle-surface-
-        parity`` lint rule pins onto :class:`~repro.platform.
-        AcceleratorPool`, whose version shards the flush over its
-        collection devices.
+        :meth:`AcceleratorPool.serving_round_seconds
+        <repro.platform.AcceleratorPool.serving_round_seconds>` shards the
+        flush over a pool's collection devices.
         """
         return self.infer_batch(num_requests).total_seconds
 
@@ -725,7 +631,7 @@ class FixarPlatform:
         )
 
     # ------------------------------------------------------------------ #
-    # Heterogeneous fleets (mixed layer dimensions on one accelerator)
+    # Sibling platforms (same hardware, another workload)
     # ------------------------------------------------------------------ #
     def with_workload(self, workload: WorkloadSpec) -> "FixarPlatform":
         """A sibling platform pricing another workload on the same hardware.
@@ -758,254 +664,6 @@ class FixarPlatform:
             hidden_sizes = self.workload.hidden_sizes
         return self.with_workload(
             WorkloadSpec.from_benchmark(benchmark, hidden_sizes=tuple(hidden_sizes))
-        )
-
-    def _resolve_fleet(
-        self,
-        fleet: Sequence[Sequence],
-        num_envs: Optional[int] = None,
-        weights: Optional[Sequence[int]] = None,
-    ) -> List[Tuple["FixarPlatform", int, int, int]]:
-        """Per-group sibling platforms for a fleet's pricing entries.
-
-        Each entry is ``(workload, count)`` or ``(workload, count, width)``
-        — a registered benchmark name or an explicit :class:`WorkloadSpec`,
-        a positive worker count, and an optional per-group lock-step width
-        (``None`` or omitted falls back to the ``num_envs`` argument, the
-        uniform-width fleet).  ``weights`` optionally gives each group's
-        lock-steps per round (the throughput-weighted schedule); the default
-        is one each.  Returns ``(platform, count, width, weight)`` tuples.
-        """
-        fleet = [tuple(entry) for entry in fleet]
-        if not fleet:
-            raise ValueError("fleet must contain at least one (workload, count) entry")
-        if weights is None:
-            weights = [1] * len(fleet)
-        else:
-            weights = list(weights)
-            if len(weights) != len(fleet):
-                raise ValueError(
-                    f"weights must match the fleet's {len(fleet)} entries, "
-                    f"got {len(weights)}"
-                )
-        resolved: List[Tuple[FixarPlatform, int, int, int]] = []
-        for entry, weight in zip(fleet, weights):
-            if len(entry) == 2:
-                workload, count = entry
-                width = None
-            elif len(entry) == 3:
-                workload, count, width = entry
-            else:
-                raise ValueError(
-                    f"fleet entries must be (workload, count[, width]), got {entry!r}"
-                )
-            if count <= 0:
-                raise ValueError(f"fleet worker counts must be positive, got {count}")
-            if width is None:
-                width = num_envs
-            if width is None or width <= 0:
-                raise ValueError(
-                    f"fleet lock-step widths must be positive, got {width}"
-                )
-            try:
-                # operator.index rejects non-integral weights: the scheduler
-                # already refuses 2.9 lock-steps per round, and the pricing
-                # side must agree with it instead of silently accepting a
-                # fractional round.
-                weight = operator.index(weight)
-            except TypeError:
-                raise ValueError(
-                    f"fleet round weights must be integers, got {weight!r}"
-                ) from None
-            if weight <= 0:
-                raise ValueError(f"fleet round weights must be positive, got {weight}")
-            if isinstance(workload, WorkloadSpec):
-                platform = self.with_workload(workload)
-            else:
-                platform = self.for_benchmark(str(workload))
-            resolved.append((platform, count, width, weight))
-        return resolved
-
-    def infer_fleet(
-        self,
-        fleet: Sequence[Sequence],
-        num_envs: int,
-        weights: Optional[Sequence[int]] = None,
-    ) -> FleetInferenceReport:
-        """Price one collection round of a heterogeneous fleet.
-
-        Each entry ``(workload, count)`` — or ``(workload, count, width)``
-        for a mixed-width fleet — contributes ``count`` workers whose
-        batch-of-``width`` inferences are priced under *that* workload's
-        layer dimensions (``width`` defaults to ``num_envs``); the single
-        accelerator serves all groups back to back, so the fleet round is
-        the serial concatenation of the per-group :meth:`infer_collection`
-        rounds.  ``weights`` gives each group's lock-steps per round (the
-        throughput-weighted schedule) and is stamped on each
-        :class:`FleetGroupInference`, so the report describes the round the
-        scheduler actually runs.
-        """
-        groups = tuple(
-            FleetGroupInference(
-                benchmark=platform.workload.benchmark,
-                report=platform.infer_collection(width, count),
-                weight=weight,
-            )
-            for platform, count, width, weight in self._resolve_fleet(
-                fleet, num_envs, weights
-            )
-        )
-        return FleetInferenceReport(groups=groups)
-
-    def fleet_collection_round_seconds(
-        self,
-        fleet: Sequence[Sequence],
-        num_envs: int,
-        weights: Optional[Sequence[int]] = None,
-    ) -> float:
-        """Modelled time of one heterogeneous-fleet collection round.
-
-        The homogeneous bound structure of :meth:`collection_round_seconds`
-        generalizes per benchmark: every worker still alternates its own
-        host phase with its own batched inference, so no worker cycles
-        faster than its serial ``host_b + inference_b`` chain (the slowest
-        *benchmark* bounds the fleet — each worker runs on its own Xeon
-        core), while the single accelerator serves all groups' batches back
-        to back, paying each group's inference latency under its own layer
-        dimensions and lock-step width.  The steady-state round is whichever
-        bound saturates first.
-
-        ``weights`` prices a *throughput-weighted* round: group ``g`` runs
-        ``weights[g]`` lock-steps per round, so its workers' serial chains
-        stretch by that factor and the accelerator serves that many more of
-        its batches — the cost oracle of
-        :class:`repro.rl.scheduler.ThroughputWeightedPolicy`, which fills
-        the slack under the slowest benchmark's chain with extra cheap
-        lock-steps.
-        """
-        return self._collection_round_from(self._resolve_fleet(fleet, num_envs, weights))
-
-    @staticmethod
-    def _collection_round_from(resolved) -> float:
-        """Collection-round time of an already-resolved fleet (no re-resolve)."""
-        chains = []
-        accelerator = 0.0
-        for platform, count, width, weight in resolved:
-            inference = platform.infer_batch(width).total_seconds
-            host = platform.host.collection_step_seconds(
-                platform.workload.benchmark, width
-            )
-            chains.append(weight * (host + inference))
-            accelerator += count * weight * inference
-        return max(max(chains), accelerator)
-
-    @staticmethod
-    def _round_steps_from(resolved) -> int:
-        """Environment steps of one round of an already-resolved fleet."""
-        return sum(count * weight * width for _p, count, width, weight in resolved)
-
-    def fleet_collection_steps_per_second(
-        self,
-        fleet: Sequence[Sequence],
-        num_envs: int,
-        weights: Optional[Sequence[int]] = None,
-    ) -> float:
-        """Modelled collection throughput of a heterogeneous fleet."""
-        resolved = self._resolve_fleet(fleet, num_envs, weights)
-        return self._round_steps_from(resolved) / self._collection_round_from(resolved)
-
-    def fleet_sequential_round_seconds(
-        self,
-        fleet: Sequence[Sequence],
-        num_envs: int,
-        batch_size: int = 64,
-        weights: Optional[Sequence[int]] = None,
-    ) -> float:
-        """Modelled time of one *sequential* heterogeneous training round.
-
-        The fleet collects, then each benchmark's learner runs its updates
-        (one per environment step its workers collected) as blocking
-        runtime invocations priced under that benchmark's layer dimensions
-        — collection and the per-benchmark update phases strictly
-        alternate, so the round costs their sum.
-        """
-        resolved = self._resolve_fleet(fleet, num_envs, weights)
-        update_total = sum(
-            platform.update_round_seconds(
-                batch_size, count * weight * width, pipelined=False
-            )
-            for platform, count, width, weight in resolved
-        )
-        return self._collection_round_from(resolved) + update_total
-
-    def fleet_pipelined_round_seconds(
-        self,
-        fleet: Sequence[Sequence],
-        num_envs: int,
-        batch_size: int = 64,
-        weights: Optional[Sequence[int]] = None,
-    ) -> float:
-        """Modelled time of one *pipelined* heterogeneous training round.
-
-        The learners' update streams overlap the fleet's collection, so the
-        round is ``max(collection, update)``.  The update side runs one
-        streamed submission per benchmark back to back — each pays its own
-        invocation overhead once and its per-update marginal cost under its
-        own layer dimensions (``train_pass_seconds`` differs per benchmark)
-        — and the fleet's inference FPGA time (every group priced under its
-        own workload, width, and round weight) is added to the update
-        stream because the single accelerator serves both sides.
-        """
-        resolved = self._resolve_fleet(fleet, num_envs, weights)
-        collection = self._collection_round_from(resolved)
-        update_total = sum(
-            platform.update_round_seconds(
-                batch_size, count * weight * width, pipelined=True
-            )
-            for platform, count, width, weight in resolved
-        )
-        inference_fpga = sum(
-            count * weight * platform.infer_batch(width).fpga_seconds
-            for platform, count, width, weight in resolved
-        )
-        return max(collection, update_total + inference_fpga)
-
-    def fleet_training_steps_per_second(
-        self,
-        fleet: Sequence[Sequence],
-        num_envs: int,
-        batch_size: int = 64,
-        pipelined: bool = False,
-        weights: Optional[Sequence[int]] = None,
-    ) -> float:
-        """Modelled end-to-end training throughput of a heterogeneous fleet."""
-        round_seconds = (
-            self.fleet_pipelined_round_seconds(fleet, num_envs, batch_size, weights)
-            if pipelined
-            else self.fleet_sequential_round_seconds(
-                fleet, num_envs, batch_size, weights
-            )
-        )
-        # The round call resolved (and validated) the fleet; resolve once
-        # more only for the step sum — sibling platforms are lightweight,
-        # but avoid a third/fourth resolution inside nested round calls.
-        round_steps = self._round_steps_from(
-            self._resolve_fleet(fleet, num_envs, weights)
-        )
-        return round_steps / round_seconds
-
-    def fleet_pipelined_speedup(
-        self,
-        fleet: Sequence[Sequence],
-        num_envs: int,
-        batch_size: int = 64,
-        weights: Optional[Sequence[int]] = None,
-    ) -> float:
-        """Steps/sec of the pipelined fleet schedule over the sequential one."""
-        return self.fleet_training_steps_per_second(
-            fleet, num_envs, batch_size, pipelined=True, weights=weights
-        ) / self.fleet_training_steps_per_second(
-            fleet, num_envs, batch_size, pipelined=False, weights=weights
         )
 
     # ------------------------------------------------------------------ #

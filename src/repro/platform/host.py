@@ -94,7 +94,7 @@ class HostModel:
         heterogeneous fleet every worker runs its own benchmark's host phase
         on its own Xeon core, so the fleet's host bound is the *slowest
         benchmark's* ``host + inference`` chain
-        (:meth:`~repro.platform.FixarPlatform.fleet_collection_round_seconds`
+        (:meth:`~repro.platform.AcceleratorPool.fleet_collection_round_seconds`
         queries this method once per benchmark).
         """
         if num_envs <= 0:

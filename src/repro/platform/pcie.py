@@ -123,7 +123,7 @@ class PcieModel:
         per benchmark (the batch layout changes with the layer dimensions),
         so the pipelined fleet pricing charges this overhead once per
         benchmark group
-        (:meth:`~repro.platform.FixarPlatform.fleet_pipelined_round_seconds`).
+        (:meth:`~repro.platform.AcceleratorPool.fleet_pipelined_round_seconds`).
         """
         return self.config.base_overhead_seconds + 2 * self.config.per_buffer_seconds
 

@@ -1,14 +1,21 @@
-"""Multi-accelerator device pools: N FIXAR accelerators behind one seam.
+"""Device pools: the fleet/round pricing oracle over N FIXAR accelerators.
 
-Every pricing path so far serialized the whole fleet onto a *single*
-accelerator — the main blocker on scaling the adaptive-parallelism story
-past one FPGA.  An :class:`AcceleratorPool` holds ``num_devices`` identical
-:class:`~repro.platform.FixarPlatform` devices behind the same duck-typed
-oracle surface the single platform exposes (``infer_batch`` plus the
-``fleet_*`` pricing pair), so the rollout engine and the round scheduler
-never learn about devices — only the pricing joints do.
+:class:`~repro.platform.FixarPlatform` prices one workload on one device
+(the paper's Fig. 8-10 cost model).  Everything above a single device —
+heterogeneous fleets whose benchmark groups present batched inferences
+with *different* layer dimensions, and pools of several accelerators — is
+priced here, by :class:`AcceleratorPool`, the one fleet/round oracle.  A
+pool holds ``num_devices`` identical devices (``FixarPlatform`` siblings
+sharing the template's hardware models) and answers the ``fleet_*`` /
+``infer_fleet`` queries plus the single platform's ``infer_batch`` /
+``infer_collection`` / ``*_round_seconds`` surface, so a pool drops in at
+every pricing joint while the rollout engine and the round scheduler never
+learn about devices.
 
-Three placement/assignment dimensions are modelled:
+A fleet is a sequence of ``(workload, count[, width])`` entries, each
+group priced under its own workload (via :meth:`FixarPlatform.
+with_workload` / :meth:`FixarPlatform.for_benchmark`).  Three
+placement/assignment dimensions are modelled:
 
 * **Per-benchmark device affinity** — each fleet group's workers present
   their batched inferences to one device of the pool (round-robin over the
@@ -30,28 +37,30 @@ Three placement/assignment dimensions are modelled:
   fewer collection device.
 
 Determinism pin (the extended oracle chain): a 1-device colocated pool
-accumulates its per-device sums in exactly the order the single platform's
-``fleet_*`` methods do, so every pool price — and a training run that uses
-the pool as its platform hook — is **bit-exact** with the single-platform
-path.
+prices a one-benchmark fleet ``[(b, N)]`` exactly (``==``) like the
+single platform's homogeneous collection and training oracles for ``N``
+workers, and its ``infer_batch`` / ``*_round_seconds`` equal the single
+platform's — so a training run that uses the pool as its platform hook is
+**bit-exact** with the single-platform path.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .fixar_platform import (
     BatchInferenceReport,
+    CollectionInferenceReport,
     FixarPlatform,
-    FleetGroupInference,
-    FleetInferenceReport,
+    WorkloadSpec,
 )
 
 __all__ = [
     "PLACEMENTS",
     "AcceleratorPool",
+    "FleetGroupInference",
     "PoolInferenceReport",
     "ShardedInferenceReport",
 ]
@@ -112,37 +121,88 @@ class ShardedInferenceReport:
 
 
 @dataclass(frozen=True)
-class PoolInferenceReport:
-    """Per-device breakdown of one fleet inference round on a pool.
+class FleetGroupInference:
+    """One benchmark group's slice of a fleet inference round.
 
-    Each entry pairs a collection device with the
-    :class:`~repro.platform.FleetInferenceReport` of the groups assigned to
-    it; devices serve their groups serially but run in parallel, so the
-    pool round is the slowest device's round while payload and energy are
-    totals.  A 1-device pool's single entry is exactly the single-platform
-    fleet report.
+    ``report`` prices a single lock-step of the group (``num_workers``
+    batched inferences); ``weight`` is the group's lock-steps per scheduled
+    round, so a throughput-weighted round's report describes the round the
+    scheduler actually runs instead of the round-robin one.  The weighted
+    accessors scale the lock-step costs accordingly (``weight == 1``
+    reproduces the unweighted accounting exactly).
+    """
+
+    #: Benchmark display name.
+    benchmark: str
+    #: Cost of one of this group's lock-steps.
+    report: CollectionInferenceReport
+    #: Lock-steps this group runs per scheduled round.
+    weight: int = 1
+    #: Collection device that serves this group's batches.
+    device: int = 0
+
+    @property
+    def num_states(self) -> int:
+        """States this group infers per scheduled round."""
+        return self.weight * self.report.num_states
+
+    @property
+    def total_seconds(self) -> float:
+        """Accelerator-serial latency of this group's round slice."""
+        return self.weight * self.report.total_seconds
+
+    @property
+    def pcie_bytes(self) -> int:
+        """Bytes this group moves over PCIe per scheduled round."""
+        return self.weight * self.report.pcie_bytes
+
+    @property
+    def energy_joules(self) -> float:
+        """FPGA board energy of this group's round slice."""
+        return self.weight * self.report.energy_joules
+
+
+@dataclass(frozen=True)
+class PoolInferenceReport:
+    """Per-group cost of one fleet inference round on a pool.
+
+    ``groups`` are in fleet order, each stamped with the collection device
+    that serves it.  Devices serve their groups serially but run in
+    parallel, so the pool round is the slowest device's serial sum while
+    payload and energy are totals.
     """
 
     #: Update-stream placement the pool was priced under.
     placement: str
-    #: Per-device fleet reports: (device index, report), devices with
-    #: assigned groups only.
-    per_device: Tuple[Tuple[int, FleetInferenceReport], ...]
+    #: Per-group costs, in fleet order.
+    groups: Tuple[FleetGroupInference, ...]
+
+    @property
+    def per_device(self) -> Tuple[Tuple[int, Tuple[FleetGroupInference, ...]], ...]:
+        """``(device, groups)`` for each device with assigned groups, by index."""
+        devices = sorted({group.device for group in self.groups})
+        return tuple(
+            (device, tuple(group for group in self.groups if group.device == device))
+            for device in devices
+        )
 
     @property
     def num_workers(self) -> int:
-        """Workers across the whole pool."""
-        return sum(report.num_workers for _device, report in self.per_device)
+        """Workers across the whole pool (independent of round weights)."""
+        return sum(group.report.num_workers for group in self.groups)
 
     @property
     def num_states(self) -> int:
         """States inferred per pool round."""
-        return sum(report.num_states for _device, report in self.per_device)
+        return sum(group.num_states for group in self.groups)
 
     @property
     def round_seconds(self) -> float:
         """Latency of the pool round (slowest device's serial round)."""
-        return max(report.total_seconds for _device, report in self.per_device)
+        return max(
+            sum(group.total_seconds for group in groups)
+            for _device, groups in self.per_device
+        )
 
     @property
     def total_seconds(self) -> float:
@@ -152,12 +212,12 @@ class PoolInferenceReport:
     @property
     def pcie_bytes(self) -> int:
         """Bytes crossing PCIe per pool round, across devices."""
-        return sum(report.pcie_bytes for _device, report in self.per_device)
+        return sum(group.pcie_bytes for group in self.groups)
 
     @property
     def energy_joules(self) -> float:
         """FPGA board energy per pool round, across devices."""
-        return sum(report.energy_joules for _device, report in self.per_device)
+        return sum(group.energy_joules for group in self.groups)
 
     @property
     def states_per_second(self) -> float:
@@ -311,23 +371,24 @@ class AcceleratorPool:
         Entries named by the effective affinity mapping (the per-call
         ``assignment`` or the pool's bound default) take their pinned
         device; the rest round-robin over the collection devices in entry
-        order.  Mapping keys that match no fleet entry raise — the same
-        unknown-key contract as the scheduler's explicit lock-step weights.
+        order.  Per-call mapping keys that match no fleet entry raise — the
+        same unknown-key contract as the scheduler's explicit lock-step
+        weights.  The bound default is the whole run's affinity, so it may
+        name benchmarks outside the priced fleet: the weighted schedule
+        prices each group's chain as a one-group fleet.
         """
-        mapping = (
-            self._normalize_assignment(assignment)
-            if assignment is not None
-            else self.assignment
-        )
-        collection = self.collection_devices
         keys = [str(key).lower() for key in keys]
-        if mapping:
+        if assignment is not None:
+            mapping = self._normalize_assignment(assignment)
             unknown = sorted(key for key in mapping if key not in set(keys))
             if unknown:
                 raise ValueError(
                     f"device assignment names benchmarks that match no fleet "
                     f"entry: {unknown}; fleet keys are {sorted(set(keys))}"
                 )
+        else:
+            mapping = self.assignment
+        collection = self.collection_devices
         devices = []
         cursor = 0
         for key in keys:
@@ -389,14 +450,13 @@ class AcceleratorPool:
     # ------------------------------------------------------------------ #
     # Homogeneous collection / training oracles (single-platform surface)
     #
-    # ``FixarPlatform`` and the pool are duck-typed interchangeably at the
-    # pricing joints, so the pool mirrors the platform's whole public
-    # ``infer_*`` / ``fleet_*`` / ``*_round_seconds`` surface — pinned
-    # statically by the ``oracle-surface-parity`` lint rule.  A homogeneous
-    # ``num_workers``-worker run deals its workers round-robin over the
-    # collection devices (the same dealing order ``resolve_assignment``
-    # uses for fleet groups), so a 1-device colocated pool reproduces every
-    # single-platform price exactly.
+    # The pool answers the single platform's ``infer_collection`` /
+    # ``*_round_seconds`` queries too, so it drops in wherever a
+    # ``FixarPlatform`` prices a homogeneous run.  A ``num_workers``-worker
+    # run deals its workers round-robin over the collection devices (the
+    # same dealing order ``resolve_assignment`` uses for fleet groups), so a
+    # 1-device colocated pool reproduces every single-platform price
+    # exactly.
     # ------------------------------------------------------------------ #
     def _deal_workers(self, num_workers: int) -> List[Tuple[int, int]]:
         """``(device, worker count)`` round-robin deal over collection devices.
@@ -428,24 +488,15 @@ class AcceleratorPool:
         platform's report exactly.
         """
         benchmark = self.template.workload.benchmark
-        per_device = tuple(
-            (
-                device,
-                FleetInferenceReport(
-                    groups=(
-                        FleetGroupInference(
-                            benchmark=benchmark,
-                            report=self.devices[device].infer_collection(
-                                num_envs, count
-                            ),
-                            weight=1,
-                        ),
-                    )
-                ),
+        groups = tuple(
+            FleetGroupInference(
+                benchmark=benchmark,
+                report=self.devices[device].infer_collection(num_envs, count),
+                device=device,
             )
             for device, count in self._deal_workers(num_workers)
         )
-        return PoolInferenceReport(placement=self.placement, per_device=per_device)
+        return PoolInferenceReport(placement=self.placement, groups=groups)
 
     def collection_round_seconds(self, num_envs: int, num_workers: int = 1) -> float:
         """Modelled time of one homogeneous collection round on the pool.
@@ -530,8 +581,65 @@ class AcceleratorPool:
         weights: Optional[Sequence[int]],
         assignment: Optional[Mapping[str, int]],
     ) -> List[Tuple[FixarPlatform, int, int, int, int]]:
-        """``(platform, count, width, weight, device)`` per fleet entry."""
-        resolved = self.template._resolve_fleet(fleet, num_envs, weights)
+        """``(platform, count, width, weight, device)`` per fleet entry.
+
+        Each entry is ``(workload, count)`` or ``(workload, count, width)``
+        — a registered benchmark name or an explicit :class:`WorkloadSpec`,
+        a positive worker count, and an optional per-group lock-step width
+        (``None`` or omitted falls back to the ``num_envs`` argument, the
+        uniform-width fleet).  ``platform`` is the template's sibling for
+        the entry's workload.  ``weights`` optionally gives each group's
+        lock-steps per round (the throughput-weighted schedule); the default
+        is one each.  ``device`` comes from :meth:`resolve_assignment`.
+        """
+        fleet = [tuple(entry) for entry in fleet]
+        if not fleet:
+            raise ValueError("fleet must contain at least one (workload, count) entry")
+        if weights is None:
+            weights = [1] * len(fleet)
+        else:
+            weights = list(weights)
+            if len(weights) != len(fleet):
+                raise ValueError(
+                    f"weights must match the fleet's {len(fleet)} entries, "
+                    f"got {len(weights)}"
+                )
+        resolved = []
+        for entry, weight in zip(fleet, weights):
+            if len(entry) == 2:
+                workload, count = entry
+                width = None
+            elif len(entry) == 3:
+                workload, count, width = entry
+            else:
+                raise ValueError(
+                    f"fleet entries must be (workload, count[, width]), got {entry!r}"
+                )
+            if count <= 0:
+                raise ValueError(f"fleet worker counts must be positive, got {count}")
+            if width is None:
+                width = num_envs
+            if width is None or width <= 0:
+                raise ValueError(
+                    f"fleet lock-step widths must be positive, got {width}"
+                )
+            try:
+                # operator.index rejects non-integral weights: the scheduler
+                # already refuses 2.9 lock-steps per round, and the pricing
+                # side must agree with it instead of silently accepting a
+                # fractional round.
+                weight = operator.index(weight)
+            except TypeError:
+                raise ValueError(
+                    f"fleet round weights must be integers, got {weight!r}"
+                ) from None
+            if weight <= 0:
+                raise ValueError(f"fleet round weights must be positive, got {weight}")
+            if isinstance(workload, WorkloadSpec):
+                platform = self.template.with_workload(workload)
+            else:
+                platform = self.template.for_benchmark(str(workload))
+            resolved.append((platform, count, width, weight))
         devices = self.resolve_assignment(
             [platform.workload.benchmark for platform, *_rest in resolved],
             assignment,
@@ -572,7 +680,21 @@ class AcceleratorPool:
         weights: Optional[Sequence[int]] = None,
         assignment: Optional[Mapping[str, int]] = None,
     ) -> float:
-        """Modelled time of one fleet collection round on the pool."""
+        """Modelled time of one fleet collection round on the pool.
+
+        The homogeneous bound of :meth:`FixarPlatform.collection_round_seconds`
+        generalizes per benchmark: no worker cycles faster than its serial
+        ``host_b + inference_b`` chain (each worker runs on its own Xeon
+        core), while each device serves its assigned groups' batches back
+        to back under their own layer dimensions and widths.  The round is
+        whichever bound saturates first.
+
+        ``weights`` prices a *throughput-weighted* round: group ``g`` runs
+        ``weights[g]`` lock-steps per round, so its workers' chains stretch
+        by that factor and its device serves that many more of its batches
+        — the cost oracle of :class:`repro.rl.scheduler.
+        ThroughputWeightedPolicy`.
+        """
         return self._collection_round(
             self._resolve(fleet, num_envs, weights, assignment)
         )
@@ -716,21 +838,25 @@ class AcceleratorPool:
         weights: Optional[Sequence[int]] = None,
         assignment: Optional[Mapping[str, int]] = None,
     ) -> PoolInferenceReport:
-        """Per-device fleet inference report of one pool round."""
-        resolved = self._resolve(fleet, num_envs, weights, assignment)
-        per_device = []
-        for index in self.collection_devices:
-            groups = tuple(
-                FleetGroupInference(
-                    benchmark=platform.workload.benchmark,
-                    report=platform.infer_collection(width, count),
-                    weight=weight,
-                )
-                for platform, count, width, weight, device in resolved
-                if device == index
+        """Price one collection round of a fleet on the pool.
+
+        Each entry ``(workload, count[, width])`` contributes ``count``
+        workers whose batch-of-``width`` inferences are priced under *that*
+        workload's layer dimensions (``width`` defaults to ``num_envs``) on
+        the group's assigned device.  ``weights`` gives each group's
+        lock-steps per round (the throughput-weighted schedule) and is
+        stamped on each :class:`FleetGroupInference`, so the report
+        describes the round the scheduler actually runs.
+        """
+        groups = tuple(
+            FleetGroupInference(
+                benchmark=platform.workload.benchmark,
+                report=platform.infer_collection(width, count),
+                weight=weight,
+                device=device,
             )
-            if groups:
-                per_device.append((index, FleetInferenceReport(groups=groups)))
-        return PoolInferenceReport(
-            placement=self.placement, per_device=tuple(per_device)
+            for platform, count, width, weight, device in self._resolve(
+                fleet, num_envs, weights, assignment
+            )
         )
+        return PoolInferenceReport(placement=self.placement, groups=groups)

@@ -33,7 +33,7 @@ platform as ``max(collection, update)`` per round via
 :meth:`~repro.platform.FixarPlatform.pipelined_round_seconds`), and
 :class:`ThroughputWeightedPolicy` (heterogeneous benchmarks with cheaper
 modelled host+inference chains collect extra lock-steps per round,
-``FixarPlatform.fleet_collection_round_seconds`` as cost oracle) —
+``AcceleratorPool.fleet_collection_round_seconds`` as cost oracle) —
 selected by ``TrainingConfig.schedule``.  Activation precision is driven
 by the *precision subsystem* (:mod:`repro.rl.precision`): a pluggable
 :class:`PrecisionPolicy` — :class:`GlobalSwitchPolicy` (Algorithm 1's

@@ -18,7 +18,7 @@ that drives one or more collector groups through a pluggable
 * :class:`ThroughputWeightedPolicy` — *adaptive* round shaping for
   heterogeneous fleets: benchmarks with cheaper modelled ``host +
   inference`` chains are allocated extra collection lock-steps per round,
-  using :meth:`FixarPlatform.fleet_collection_round_seconds` as the cost
+  using :meth:`AcceleratorPool.fleet_collection_round_seconds` as the cost
   oracle.  The expensive benchmark's chain bounds the round either way, so
   the extra lock-steps ride inside time the fleet was already paying for —
   the QuaRL observation that quantized-RL throughput hinges on keeping
@@ -38,10 +38,11 @@ boundary, and a full drain of any in-flight rounds at the end of the run.
 
 The scheduler deliberately does **not** import the platform layer —
 ``repro.platform`` sits *downstream* of ``repro.rl`` in the layer map, so
-the cost oracle arrives as a duck-typed object (anything exposing the
+the cost oracle arrives as a duck-typed device pool (anything exposing the
 ``fleet_collection_round_seconds`` / ``fleet_collection_steps_per_second``
-pricing pair).  Without an oracle the weighted policy degrades to uniform
-weights rather than guessing.
+pricing pair; a bare single-device platform is rejected).  Without an
+oracle the weighted policy degrades to uniform weights rather than
+guessing.
 
 The *device-assignment* seam is the pool analogue of the schedule seam: a
 :class:`DeviceAssignmentPolicy` (round-robin, explicit affinity, or
@@ -192,6 +193,21 @@ class PipelinedPolicy(SchedulePolicy):
         return f"{self.name}(depth={self.depth})"
 
 
+def _fleet_oracle(platform):
+    """``platform`` if it prices fleet rounds (``None`` passes through).
+
+    The fleet oracle is an :class:`~repro.platform.AcceleratorPool`; a bare
+    single-device platform has no ``fleet_*`` methods, so it is rejected
+    here rather than failing deep inside a pricing call.
+    """
+    if platform is not None and not hasattr(platform, "fleet_collection_round_seconds"):
+        raise ValueError(
+            "ThroughputWeightedPolicy prices fleet rounds on a device pool; "
+            "pass AcceleratorPool(platform) instead of a bare platform"
+        )
+    return platform
+
+
 class ThroughputWeightedPolicy(SchedulePolicy):
     """Allocate extra lock-steps to benchmarks with cheaper modelled chains.
 
@@ -207,7 +223,7 @@ class ThroughputWeightedPolicy(SchedulePolicy):
     denominator at most ``max_weight``, the fractions are put over a common
     denominator, and the resulting integers (capped at ``max_weight``)
     become the per-round lock-step allocation.  All chain costs come from
-    the ``fleet_collection_round_seconds`` cost oracle.
+    the pool's ``fleet_collection_round_seconds`` cost oracle.
 
     The policy is conservative: it re-prices the weighted round through the
     oracle and falls back to uniform weights whenever the allocation would
@@ -245,7 +261,7 @@ class ThroughputWeightedPolicy(SchedulePolicy):
             raise ValueError(f"pipeline depth must be non-negative, got {depth}")
         self.max_weight = max_weight
         self.depth = depth
-        self.platform = platform
+        self.platform = _fleet_oracle(platform)
         self.weights = weights
         self.adaptive = adaptive
 
@@ -307,6 +323,7 @@ class ThroughputWeightedPolicy(SchedulePolicy):
         oracle = platform if platform is not None else self.platform
         if oracle is None or len(groups) <= 1:
             return [1] * len(groups)
+        oracle = _fleet_oracle(oracle)
         try:
             chains = [
                 oracle.fleet_collection_round_seconds(

@@ -596,7 +596,9 @@ def train(
         # episode is disturbed and no restart is needed.
         shares_training_env = False
     if policy is None:
-        policy = resolve_policy(config, platform)
+        # A homogeneous run is one group, so weighted rounds are uniform and
+        # never consult a fleet oracle; the hook may be a bare platform.
+        policy = resolve_policy(config)
     if shares_training_env and policy.depth > 0:
         # Sharing the training env with evaluation forces an episode restart
         # after every evaluation, but under the pipelined schedule the fleet
@@ -772,21 +774,21 @@ def train_fleet(
         ``{"average_return", "episodes"}`` metrics plus the shared
         ``"activation_bits"``.
     platform:
-        Optional :class:`~repro.platform.FixarPlatform`.  Because layer
-        dimensions differ per benchmark, the platform is re-targeted per
-        benchmark (``platform.for_benchmark``) so every worker's batched
-        inferences are priced under its own workload — the heterogeneous
-        accounting :meth:`~repro.platform.FixarPlatform.infer_fleet`
-        aggregates.  Also the throughput-weighted schedule's cost oracle.
-        An :class:`~repro.platform.AcceleratorPool` drops in at the same
-        hook (``config.devices`` / ``config.placement`` must match it):
-        the per-benchmark device affinity is resolved through the
+        Optional :class:`~repro.platform.AcceleratorPool` — the fleet
+        pricing oracle (a bare :class:`~repro.platform.FixarPlatform` is
+        rejected; wrap it as ``AcceleratorPool(platform)``).
+        ``config.devices`` / ``config.placement`` must match the pool.  The
+        per-benchmark device affinity is resolved through the
         :class:`~repro.rl.scheduler.DeviceAssignmentPolicy` the
-        ``config.assignment`` knob selects, each group's workers price
-        their batches on their assigned device, and the resolved affinity
-        lands in ``FleetTrainingResult.assignment``.  Devices change only
-        the modelled pricing — training numerics are identical at every
-        pool size.
+        ``config.assignment`` knob selects, and each group's workers price
+        their batched inferences on their assigned device, re-targeted to
+        their own layer dimensions (``for_benchmark``) — the accounting
+        :meth:`~repro.platform.AcceleratorPool.infer_fleet` aggregates.
+        The pool is also the throughput-weighted schedule's cost oracle,
+        and the resolved affinity lands in
+        ``FleetTrainingResult.assignment``.  Devices change only the
+        modelled pricing — training numerics are identical at every pool
+        size.
     policy:
         Optional explicit :class:`~repro.rl.scheduler.SchedulePolicy`
         overriding the one ``config.schedule`` / ``config.pipeline_depth``
@@ -833,6 +835,11 @@ def train_fleet(
     platforms = None
     assignment_by_key: Dict[str, int] = {}
     is_pool = _resolve_device_pool(config, platform)
+    if platform is not None and not is_pool:
+        raise ValueError(
+            "train_fleet prices fleet rounds on a device pool; pass "
+            "AcceleratorPool(platform) instead of a bare platform"
+        )
     if is_pool:
         # Resolve the per-benchmark device affinity once, up front (from
         # the spec descriptors — the workers are not built yet), then bind
@@ -850,21 +857,11 @@ def train_fleet(
         }
         platform = platform.with_assignment(assignment_by_key)
         # Each group's workers price their inferences on their *assigned*
-        # device, re-targeted to their own layer dimensions.
-        platforms = {
-            key: platform.device(assignment_by_key[key]).for_benchmark(
-                key, hidden_sizes=tuple(agents_by_key[key].config.hidden_sizes)
-            )
-            for key, _count, _width in fleet_spec
-            if key in agents_by_key
-        }
-    elif platform is not None:
-        # Re-target the platform per benchmark: each group's workers price
-        # their batched inferences under their own layer dimensions.  Keys
-        # missing from the agents mapping are skipped here so that
+        # device, re-targeted to their own layer dimensions.  Keys missing
+        # from the agents mapping are skipped here so that
         # HeteroFleet.from_agents raises its (clearer) coverage error.
         platforms = {
-            key: platform.for_benchmark(
+            key: platform.device(assignment_by_key[key]).for_benchmark(
                 key, hidden_sizes=tuple(agents_by_key[key].config.hidden_sizes)
             )
             for key, _count, _width in fleet_spec

@@ -2,9 +2,8 @@
 
 Every shipped rule gets two fixtures — one that fires and one that stays
 quiet — plus pragma-suppression, JSON round-trip, registry, and CLI
-exit-code coverage, and two acceptance probes against the *real* tree:
-adding ``np.dot`` to an env kernel must fail lint, and deleting any one
-oracle method from ``AcceleratorPool`` must fail lint.
+exit-code coverage, and an acceptance probe against the *real* tree:
+adding ``np.dot`` to an env kernel must fail lint.
 
 Fixture files are written under ``tmp_path`` at paths that mirror the repo
 layout (``src/repro/envs/...``), because rules scope themselves by posix
@@ -15,7 +14,6 @@ test file's own source.
 
 from __future__ import annotations
 
-import ast
 import json
 import textwrap
 from pathlib import Path
@@ -32,7 +30,6 @@ from repro.analysis import (
     Finding,
     HotPathDiscipline,
     LockDiscipline,
-    OracleSurfaceParity,
     PrecisionPolicyParity,
     Rule,
     SeedingScheme,
@@ -343,80 +340,7 @@ class TestSeedingScheme:
 
 
 # --------------------------------------------------------------------- #
-# Rule 5: oracle-surface-parity
-# --------------------------------------------------------------------- #
-PLATFORM_FIXTURE = """\
-class FixarPlatform:
-    def infer_batch(self, batch_size):
-        return batch_size
-
-    def fleet_collection_round_seconds(self, fleet):
-        return 0.0
-
-    def pipelined_round_seconds(self, num_envs):
-        return 0.0
-
-    def helper(self):
-        return None
-
-    def _private_round_seconds(self):
-        return None
-"""
-
-
-class TestOracleSurfaceParity:
-    def test_fires_per_missing_oracle_method(self, tmp_path):
-        _write(tmp_path, "src/repro/platform/fixar_platform.py", PLATFORM_FIXTURE)
-        _write(
-            tmp_path,
-            "src/repro/platform/pool.py",
-            """\
-            class AcceleratorPool:
-                def infer_batch(self, batch_size):
-                    return batch_size
-            """,
-        )
-        report = _lint(tmp_path, OracleSurfaceParity())
-        assert [f.rule for f in report.findings] == ["oracle-surface-parity"] * 2
-        messages = " ".join(f.message for f in report.findings)
-        assert "fleet_collection_round_seconds" in messages
-        assert "pipelined_round_seconds" in messages
-        # Non-oracle and private methods are not part of the surface.
-        assert "helper" not in messages
-        assert "_private_round_seconds" not in messages
-        # Findings anchor at the pool class definition.
-        assert all(f.file.endswith("pool.py") and f.line == 1 for f in report.findings)
-
-    def test_quiet_when_the_surface_matches(self, tmp_path):
-        _write(tmp_path, "src/repro/platform/fixar_platform.py", PLATFORM_FIXTURE)
-        _write(
-            tmp_path,
-            "src/repro/platform/pool.py",
-            """\
-            class AcceleratorPool:
-                def infer_batch(self, batch_size):
-                    return batch_size
-
-                def fleet_collection_round_seconds(self, fleet):
-                    return 0.0
-
-                def pipelined_round_seconds(self, num_envs):
-                    return 0.0
-            """,
-        )
-        assert _lint(tmp_path, OracleSurfaceParity()).findings == []
-
-    def test_quiet_when_either_class_is_outside_the_scan(self, tmp_path):
-        _write(
-            tmp_path,
-            "src/repro/platform/pool.py",
-            "class AcceleratorPool:\n    pass\n",
-        )
-        assert _lint(tmp_path, OracleSurfaceParity()).findings == []
-
-
-# --------------------------------------------------------------------- #
-# Rule 6: config-cli-parity
+# Rule 5: config-cli-parity
 # --------------------------------------------------------------------- #
 CLI_FIXTURE = """\
 import argparse
@@ -540,7 +464,7 @@ class TestConfigCliParity:
 
 
 # --------------------------------------------------------------------- #
-# Rule 7: precision-policy-parity
+# Rule 6: precision-policy-parity
 # --------------------------------------------------------------------- #
 PRECISION_FIXTURE = """\
 PRECISION_POLICIES = {}
@@ -626,7 +550,7 @@ class TestPrecisionPolicyParity:
 
 
 # --------------------------------------------------------------------- #
-# Rule 8: hot-path-discipline
+# Rule 7: hot-path-discipline
 # --------------------------------------------------------------------- #
 class TestHotPathDiscipline:
     def test_fires_on_arange_dicts_and_attribute_chains(self, tmp_path):
@@ -856,14 +780,13 @@ class TestFindingsAndJson:
 # Rule registry
 # --------------------------------------------------------------------- #
 class TestRegistry:
-    def test_all_eight_rules_are_registered(self):
+    def test_all_seven_rules_are_registered(self):
         assert sorted(RULES) == [
             "batch-invariant-kernels",
             "config-cli-parity",
             "deterministic-oracles",
             "hot-path-discipline",
             "lock-discipline",
-            "oracle-surface-parity",
             "precision-policy-parity",
             "seeding-scheme",
         ]
@@ -951,28 +874,6 @@ class TestRepoTreeIsClean:
 # --------------------------------------------------------------------- #
 # Acceptance probes against the real sources
 # --------------------------------------------------------------------- #
-def _class_def(source: str, class_name: str) -> ast.ClassDef:
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            return node
-    raise AssertionError(f"class {class_name} not found")
-
-
-def _without_method(source: str, class_name: str, method: str) -> str:
-    """The source with one method of the class blanked out, line-preserving."""
-    class_node = _class_def(source, class_name)
-    for item in class_node.body:
-        if isinstance(item, ast.FunctionDef) and item.name == method:
-            lines = source.splitlines(keepends=True)
-            start = min(
-                [item.lineno] + [d.lineno for d in item.decorator_list]
-            )
-            for index in range(start - 1, item.end_lineno):
-                lines[index] = "\n"
-            return "".join(lines)
-    raise AssertionError(f"{class_name}.{method} not found")
-
-
 class TestRealTreeAcceptance:
     def test_adding_np_dot_to_an_env_kernel_fails_lint(self, tmp_path):
         target = tmp_path / "src" / "repro" / "envs"
@@ -988,29 +889,3 @@ class TestRealTreeAcceptance:
         report = _lint(tmp_path, BatchInvariantKernels())
         assert [f.rule for f in report.findings] == ["batch-invariant-kernels"]
         assert report.exit_code() == 1
-
-    def test_deleting_any_pool_oracle_method_fails_lint(self, tmp_path):
-        platform_dir = REPO_ROOT / "src" / "repro" / "platform"
-        platform_source = (platform_dir / "fixar_platform.py").read_text()
-        pool_source = (platform_dir / "pool.py").read_text()
-        target = tmp_path / "src" / "repro" / "platform"
-        target.mkdir(parents=True)
-        (target / "fixar_platform.py").write_text(platform_source)
-
-        surface = OracleSurfaceParity._oracle_surface(
-            _class_def(platform_source, "FixarPlatform")
-        )
-        assert surface, "FixarPlatform lost its oracle surface"
-        for method in sorted(surface):
-            (target / "pool.py").write_text(
-                _without_method(pool_source, "AcceleratorPool", method)
-            )
-            report = _lint(tmp_path, OracleSurfaceParity())
-            assert any(
-                f"{method}()" in finding.message for finding in report.findings
-            ), f"deleting AcceleratorPool.{method} did not fail lint"
-            assert report.exit_code() == 1
-
-        # Restore the real pool: parity holds again.
-        (target / "pool.py").write_text(pool_source)
-        assert _lint(tmp_path, OracleSurfaceParity()).findings == []

@@ -34,6 +34,15 @@ class TestWorkloadSpec:
         assert spec.actor_shapes == [(11, 64), (64, 48), (48, 6)]
 
 
+class TestImmutability:
+    def test_attribute_assignment_raises(self, platform):
+        with pytest.raises(AttributeError, match="immutable"):
+            platform.half_precision = True
+        with pytest.raises(AttributeError, match="immutable"):
+            platform.workload = WorkloadSpec("Hopper", 11, 3)
+        assert platform.half_precision is False
+
+
 class TestBreakdown:
     def test_components_present(self, platform):
         breakdown = platform.timestep_breakdown(64)

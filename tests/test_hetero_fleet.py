@@ -10,9 +10,9 @@ The load-bearing guarantees:
   the PR-2/3 determinism contract rather than forking it;
 * heterogeneous runs are deterministic, keep per-benchmark agents/buffers
   separate, and apply a shared QAT precision switch fleet-wide;
-* the platform's ``fleet_*`` pricing reduces exactly to the homogeneous
-  methods for single-benchmark fleets and stays within the homogeneous
-  envelope for mixed fleets.
+* the pool's ``fleet_*`` pricing reduces exactly to the platform's
+  homogeneous methods for single-benchmark fleets and stays within the
+  homogeneous envelope for mixed fleets.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import pytest
 
 from repro.envs import HalfCheetahEnv, HopperEnv, SwimmerEnv, benchmark_dimensions
 from repro.nn import DynamicFixedPointNumerics, make_numerics
-from repro.platform import FixarPlatform, WorkloadSpec
+from repro.platform import AcceleratorPool, FixarPlatform, WorkloadSpec
 from repro.rl import (
     DDPGAgent,
     DDPGConfig,
@@ -388,39 +388,45 @@ class TestFleetPlatformPricing:
     def platform(self):
         return FixarPlatform(WorkloadSpec("HalfCheetah", 17, 6))
 
-    def test_homogeneous_fleet_reduces_to_single_workload_methods(self, platform):
+    @pytest.fixture
+    def pool(self, platform):
+        return AcceleratorPool(platform)
+
+    def test_homogeneous_fleet_reduces_to_single_workload_methods(
+        self, platform, pool
+    ):
         fleet = [("HalfCheetah", 4)]
-        assert platform.fleet_collection_round_seconds(
+        assert pool.fleet_collection_round_seconds(
             fleet, self.NUM_ENVS
         ) == pytest.approx(platform.collection_round_seconds(self.NUM_ENVS, 4), rel=1e-12)
-        assert platform.fleet_sequential_round_seconds(
+        assert pool.fleet_sequential_round_seconds(
             fleet, self.NUM_ENVS, self.BATCH
         ) == pytest.approx(
             platform.sequential_round_seconds(self.NUM_ENVS, 4, self.BATCH), rel=1e-12
         )
-        assert platform.fleet_pipelined_round_seconds(
+        assert pool.fleet_pipelined_round_seconds(
             fleet, self.NUM_ENVS, self.BATCH
         ) == pytest.approx(
             platform.pipelined_round_seconds(self.NUM_ENVS, 4, self.BATCH), rel=1e-12
         )
-        assert platform.fleet_collection_steps_per_second(
+        assert pool.fleet_collection_steps_per_second(
             fleet, self.NUM_ENVS
         ) == pytest.approx(
             platform.collection_steps_per_second(self.NUM_ENVS, 4), rel=1e-12
         )
 
-    def test_mixed_fleet_lies_within_homogeneous_envelope(self, platform):
+    def test_mixed_fleet_lies_within_homogeneous_envelope(self, pool):
         mixed = [("HalfCheetah", 2), ("Hopper", 2)]
-        mixed_round = platform.fleet_collection_round_seconds(mixed, self.NUM_ENVS)
+        mixed_round = pool.fleet_collection_round_seconds(mixed, self.NUM_ENVS)
         homogeneous = [
-            platform.fleet_collection_round_seconds([(b, 4)], self.NUM_ENVS)
+            pool.fleet_collection_round_seconds([(b, 4)], self.NUM_ENVS)
             for b in ("HalfCheetah", "Hopper")
         ]
         assert min(homogeneous) <= mixed_round <= max(homogeneous)
 
-    def test_infer_fleet_sums_per_benchmark_groups(self, platform):
+    def test_infer_fleet_sums_per_benchmark_groups(self, platform, pool):
         mixed = [("HalfCheetah", 2), ("Hopper", 2)]
-        report = platform.infer_fleet(mixed, self.NUM_ENVS)
+        report = pool.infer_fleet(mixed, self.NUM_ENVS)
         assert report.num_workers == 4
         assert report.num_states == 4 * self.NUM_ENVS
         parts = [
@@ -437,9 +443,9 @@ class TestFleetPlatformPricing:
         # Different layer dimensions really are priced differently.
         assert parts[0].total_seconds != parts[1].total_seconds
 
-    def test_pipelined_fleet_never_loses_to_sequential(self, platform):
+    def test_pipelined_fleet_never_loses_to_sequential(self, pool):
         mixed = [("HalfCheetah", 2), ("Hopper", 1), ("Swimmer", 1)]
-        assert platform.fleet_pipelined_speedup(mixed, self.NUM_ENVS, self.BATCH) >= 1.0
+        assert pool.fleet_pipelined_speedup(mixed, self.NUM_ENVS, self.BATCH) >= 1.0
 
     def test_with_workload_shares_hardware_models(self, platform):
         sibling = platform.for_benchmark("Hopper")
@@ -449,39 +455,39 @@ class TestFleetPlatformPricing:
         assert sibling.workload.state_dim == HopperEnv.STATE_DIM
         assert sibling.workload.hidden_sizes == platform.workload.hidden_sizes
 
-    def test_fleet_validation(self, platform):
+    def test_fleet_validation(self, pool):
         with pytest.raises(ValueError, match="at least one"):
-            platform.infer_fleet([], self.NUM_ENVS)
+            pool.infer_fleet([], self.NUM_ENVS)
         with pytest.raises(ValueError, match="positive"):
-            platform.infer_fleet([("Hopper", 0)], self.NUM_ENVS)
+            pool.infer_fleet([("Hopper", 0)], self.NUM_ENVS)
         with pytest.raises(KeyError, match="unknown benchmark"):
-            platform.infer_fleet([("Walker", 1)], self.NUM_ENVS)
+            pool.infer_fleet([("Walker", 1)], self.NUM_ENVS)
 
-    def test_float_round_weights_rejected(self, platform):
+    def test_float_round_weights_rejected(self, pool):
         """1.5 lock-steps must not silently truncate (round accounting!)."""
         mixed = [("HalfCheetah", 2), ("Hopper", 2)]
         for oracle in (
-            platform.fleet_collection_round_seconds,
-            platform.fleet_collection_steps_per_second,
+            pool.fleet_collection_round_seconds,
+            pool.fleet_collection_steps_per_second,
         ):
             with pytest.raises(ValueError, match="must be integers"):
                 oracle(mixed, self.NUM_ENVS, weights=[1.5, 1])
         with pytest.raises(ValueError, match="must be integers"):
-            platform.infer_fleet(mixed, self.NUM_ENVS, weights=[1, 2.0001])
+            pool.infer_fleet(mixed, self.NUM_ENVS, weights=[1, 2.0001])
         # Integral values in float clothing are still rejected: the weights
         # come from the scheduler as ints, anything else is a caller bug.
         with pytest.raises(ValueError, match="must be integers"):
-            platform.fleet_collection_round_seconds(
+            pool.fleet_collection_round_seconds(
                 mixed, self.NUM_ENVS, weights=[2.0, 1]
             )
 
-    def test_infer_fleet_stamps_round_weights(self, platform):
+    def test_infer_fleet_stamps_round_weights(self, pool):
         """The weighted schedule's inference payload: weight w multiplies a
         group's states, time, payload, and energy — and is recorded on the
         per-group report."""
         mixed = [("HalfCheetah", 2), ("Hopper", 2)]
-        weighted = platform.infer_fleet(mixed, self.NUM_ENVS, weights=[2, 1])
-        uniform = platform.infer_fleet(mixed, self.NUM_ENVS)
+        weighted = pool.infer_fleet(mixed, self.NUM_ENVS, weights=[2, 1])
+        uniform = pool.infer_fleet(mixed, self.NUM_ENVS)
         assert [group.weight for group in weighted.groups] == [2, 1]
         assert [group.weight for group in uniform.groups] == [1, 1]
         cheetah_w, hopper_w = weighted.groups

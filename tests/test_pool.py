@@ -3,9 +3,10 @@
 The load-bearing guarantees:
 
 * **1-device bit-exactness** — a 1-device colocated pool is the extended
-  oracle chain's anchor: every ``fleet_*`` price, ``infer_batch`` report
-  value, and a training run that uses the pool as its platform hook must
-  be **exactly** equal (``==``, not approx) to the single-platform path;
+  oracle chain's anchor: its one-benchmark ``fleet_*`` prices, its
+  homogeneous ``*_round_seconds`` and ``infer_batch`` report values, and a
+  training run that uses the pool as its platform hook must be **exactly**
+  equal (``==``, not approx) to the single-platform path;
 * **Step-count conservation** — sharding one batch over the pool never
   creates or drops states, for any batch size and device count;
 * **Determinism** — devices change only the modelled pricing; training
@@ -156,54 +157,38 @@ class TestSingleDeviceBitExactness:
             assert sharded.pcie_bytes == single.pcie_bytes
             assert sharded.energy_joules == single.energy_joules
 
-    def test_fleet_pricing_oracles(self, platform):
+    @pytest.mark.parametrize("num_envs", [1, 8, 16])
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
+    @pytest.mark.parametrize("half_precision", [False, True], ids=["32bit", "16bit"])
+    @pytest.mark.parametrize("name", ["HalfCheetah", "Hopper", "Swimmer"])
+    def test_one_group_fleet_matches_homogeneous_pricing(
+        self, name, half_precision, workers, num_envs
+    ):
+        """A one-benchmark fleet ``[(b, N)]`` on a 1-device pool prices
+        exactly like the single platform's homogeneous N-worker oracles."""
+        platform = FixarPlatform(
+            WorkloadSpec.from_benchmark(name), half_precision=half_precision
+        )
         pool = AcceleratorPool(platform, 1)
+        fleet = [(name, workers)]
         assert pool.fleet_collection_round_seconds(
-            MIXED, NUM_ENVS
-        ) == platform.fleet_collection_round_seconds(MIXED, NUM_ENVS)
+            fleet, num_envs
+        ) == platform.collection_round_seconds(num_envs, workers)
         assert pool.fleet_collection_steps_per_second(
-            MIXED, NUM_ENVS
-        ) == platform.fleet_collection_steps_per_second(MIXED, NUM_ENVS)
+            fleet, num_envs
+        ) == platform.collection_steps_per_second(num_envs, workers)
         assert pool.fleet_sequential_round_seconds(
-            MIXED, NUM_ENVS, BATCH
-        ) == platform.fleet_sequential_round_seconds(MIXED, NUM_ENVS, BATCH)
+            fleet, num_envs, BATCH
+        ) == platform.sequential_round_seconds(num_envs, workers, BATCH)
         assert pool.fleet_pipelined_round_seconds(
-            MIXED, NUM_ENVS, BATCH
-        ) == platform.fleet_pipelined_round_seconds(MIXED, NUM_ENVS, BATCH)
+            fleet, num_envs, BATCH
+        ) == platform.pipelined_round_seconds(num_envs, workers, BATCH)
         for pipelined in (False, True):
             assert pool.fleet_training_steps_per_second(
-                MIXED, NUM_ENVS, BATCH, pipelined=pipelined
-            ) == platform.fleet_training_steps_per_second(
-                MIXED, NUM_ENVS, BATCH, pipelined=pipelined
+                fleet, num_envs, BATCH, pipelined=pipelined
+            ) == platform.training_steps_per_second(
+                num_envs, workers, BATCH, pipelined=pipelined
             )
-
-    def test_fleet_pricing_with_weights(self, platform):
-        pool = AcceleratorPool(platform, 1)
-        weights = [1, 2]
-        assert pool.fleet_collection_round_seconds(
-            MIXED, NUM_ENVS, weights=weights
-        ) == platform.fleet_collection_round_seconds(
-            MIXED, NUM_ENVS, weights=weights
-        )
-        assert pool.fleet_sequential_round_seconds(
-            MIXED, NUM_ENVS, BATCH, weights=weights
-        ) == platform.fleet_sequential_round_seconds(
-            MIXED, NUM_ENVS, BATCH, weights=weights
-        )
-
-    def test_infer_fleet(self, platform):
-        pool = AcceleratorPool(platform, 1)
-        single = platform.infer_fleet(MIXED, NUM_ENVS)
-        pooled = pool.infer_fleet(MIXED, NUM_ENVS)
-        assert isinstance(pooled, PoolInferenceReport)
-        assert len(pooled.per_device) == 1
-        device, report = pooled.per_device[0]
-        assert device == 0
-        assert report.num_states == single.num_states
-        assert report.num_workers == single.num_workers
-        assert pooled.total_seconds == single.total_seconds
-        assert pooled.pcie_bytes == single.pcie_bytes
-        assert pooled.energy_joules == single.energy_joules
 
     def test_homogeneous_training_path(self):
         """train() with a 1-device pool hook == train() with the platform."""
@@ -347,13 +332,17 @@ class TestPoolPricing:
         report = pool.infer_fleet(MIXED, NUM_ENVS)
         assert [device for device, _report in report.per_device] == [0, 1]
         benchmarks = {
-            device: [group.benchmark for group in fleet_report.groups]
-            for device, fleet_report in report.per_device
+            device: [group.benchmark for group in groups]
+            for device, groups in report.per_device
         }
         assert benchmarks == {0: ["HalfCheetah"], 1: ["Hopper"]}
-        single = platform.infer_fleet(MIXED, NUM_ENVS)
+        single = AcceleratorPool(platform, 1).infer_fleet(MIXED, NUM_ENVS)
         assert report.num_states == single.num_states
         assert report.pcie_bytes == single.pcie_bytes
+        # Devices run in parallel: the round is the slowest device's share.
+        assert report.total_seconds == max(
+            group.total_seconds for group in single.groups
+        )
 
 
 class TestPoolTraining:
@@ -366,7 +355,7 @@ class TestPoolTraining:
         return train_fleet(_fleet_agents(), config, platform=platform_hook)
 
     def test_training_identical_across_devices_and_placements(self, platform):
-        single = self._run(platform)
+        single = self._run(AcceleratorPool(platform))
         two = self._run(AcceleratorPool(platform, 2), devices=2)
         disaggregated = self._run(
             AcceleratorPool(platform, 3, placement="disaggregated"),
@@ -404,6 +393,10 @@ class TestPoolTraining:
         )
         assert sorted(result.assignment.values()) == [0, 1]
 
+    def test_bare_platform_rejected(self, platform):
+        with pytest.raises(ValueError, match=r"AcceleratorPool\(platform\)"):
+            self._run(platform)
+
     def test_config_pool_mismatches_rejected(self, platform):
         with pytest.raises(ValueError, match="multi-accelerator pool"):
             self._run(platform, devices=2)
@@ -425,12 +418,11 @@ class TestPoolTraining:
 
 
 class TestHomogeneousOracleSurface:
-    """The pool mirrors FixarPlatform's full oracle surface (PR-7 parity fix).
+    """The pool answers FixarPlatform's homogeneous round oracles too.
 
-    The ``oracle-surface-parity`` lint rule pins the method *names*
-    statically; these tests pin the *semantics*: 1-device colocated pools
-    reproduce every single-platform price exactly, and multi-device pools
-    deal homogeneous workers round-robin over the collection devices.
+    1-device colocated pools reproduce every single-platform price exactly,
+    and multi-device pools deal homogeneous workers round-robin over the
+    collection devices.
     """
 
     def test_one_device_prices_match_the_platform_exactly(self, platform):
@@ -449,9 +441,6 @@ class TestHomogeneousOracleSurface:
             assert pool.update_round_seconds(
                 BATCH, 32, pipelined=pipelined
             ) == platform.update_round_seconds(BATCH, 32, pipelined=pipelined)
-        assert pool.fleet_pipelined_speedup(
-            MIXED, NUM_ENVS, BATCH
-        ) == platform.fleet_pipelined_speedup(MIXED, NUM_ENVS, BATCH)
 
     def test_one_device_infer_collection_totals_match(self, platform):
         pool = AcceleratorPool(platform, 1)

@@ -448,8 +448,8 @@ class TestPlatformPricing:
         platform = self._platform()
         mixed = platform.with_precision_state(self._mixed_state(platform))
         fleet = [("halfcheetah", 1, 4), ("hopper", 1, 4)]
-        before = platform.fleet_training_steps_per_second(fleet, 4)
-        after = mixed.fleet_training_steps_per_second(fleet, 4)
+        before = AcceleratorPool(platform).fleet_training_steps_per_second(fleet, 4)
+        after = AcceleratorPool(mixed).fleet_training_steps_per_second(fleet, 4)
         assert after > before
 
     def test_mixed_state_changes_fleet_throughput_through_a_pool(self):
@@ -473,7 +473,7 @@ class TestPlatformPricing:
         )
         platform_sps = platform.with_precision_state(
             state
-        ).fleet_training_steps_per_second([("halfcheetah", 1, 4)], 4)
+        ).training_steps_per_second(4)
         assert pool_sps == platform_sps
 
     def test_pool_identity_when_state_is_identity(self):
@@ -502,13 +502,17 @@ class TestAdaptiveRelock:
         return {"default": 16, "layers": {}}
 
     def test_non_adaptive_policy_never_relocks(self):
-        platform = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
-        policy = ThroughputWeightedPolicy(platform=platform)
+        pool = AcceleratorPool(
+            FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
+        )
+        policy = ThroughputWeightedPolicy(platform=pool)
         assert policy.relock(self._groups(), precision_state=self._half_state()) is None
 
     def test_adaptive_relock_reprices_from_the_switched_oracle(self):
-        platform = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
-        policy = ThroughputWeightedPolicy(platform=platform, adaptive=True)
+        pool = AcceleratorPool(
+            FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
+        )
+        policy = ThroughputWeightedPolicy(platform=pool, adaptive=True)
         groups = self._groups()
         before = policy.lock_steps(groups)
         relocked = policy.relock(groups, precision_state=self._half_state())
@@ -517,13 +521,15 @@ class TestAdaptiveRelock:
         assert relocked == policy.relock(
             groups, precision_state=self._half_state()
         )
-        half = platform.with_precision_state(self._half_state())
+        half = pool.with_precision_state(self._half_state())
         assert relocked == policy.lock_steps(groups, half)
         assert len(relocked) == len(before)
 
     def test_explicit_weights_stay_put_across_relock(self):
-        platform = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
+        pool = AcceleratorPool(
+            FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
+        )
         policy = ThroughputWeightedPolicy(
-            platform=platform, adaptive=True, weights={"hopper": 3}
+            platform=pool, adaptive=True, weights={"hopper": 3}
         )
         assert policy.relock(self._groups(), precision_state=self._half_state()) is None

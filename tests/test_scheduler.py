@@ -29,7 +29,7 @@ import pytest
 
 from repro.envs import HalfCheetahEnv, HopperEnv, benchmark_dimensions
 from repro.nn import make_numerics
-from repro.platform import FixarPlatform, WorkloadSpec
+from repro.platform import AcceleratorPool, FixarPlatform, WorkloadSpec
 from repro.rl import (
     AffinityAssignment,
     DDPGAgent,
@@ -265,18 +265,31 @@ class TestThroughputWeightedPolicy:
         assert policy.lock_steps(self._groups()) == [1, 1]
 
     def test_uniform_for_single_group(self):
-        platform = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
-        policy = ThroughputWeightedPolicy(platform=platform)
+        pool = AcceleratorPool(
+            FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
+        )
+        policy = ThroughputWeightedPolicy(platform=pool)
         assert policy.lock_steps(self._groups("hopper:4")) == [1]
 
-    def test_oracle_weights_never_price_below_round_robin(self):
+    def test_bare_platform_rejected(self):
+        """The fleet oracle is a pool; a bare platform fails at the boundary
+        instead of as an AttributeError inside lock_steps."""
         platform = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
-        policy = ThroughputWeightedPolicy(platform=platform)
+        with pytest.raises(ValueError, match=r"AcceleratorPool\(platform\)"):
+            ThroughputWeightedPolicy(platform=platform)
+        with pytest.raises(ValueError, match=r"AcceleratorPool\(platform\)"):
+            ThroughputWeightedPolicy().lock_steps(self._groups(), platform)
+
+    def test_oracle_weights_never_price_below_round_robin(self):
+        pool = AcceleratorPool(
+            FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
+        )
+        policy = ThroughputWeightedPolicy(platform=pool)
         groups = self._groups()
         weights = policy.lock_steps(groups)
         fleet = [(g.key, g.num_workers, g.num_envs) for g in groups]
-        uniform = platform.fleet_collection_steps_per_second(fleet, 8)
-        weighted = platform.fleet_collection_steps_per_second(
+        uniform = pool.fleet_collection_steps_per_second(fleet, 8)
+        weighted = pool.fleet_collection_steps_per_second(
             fleet, 8, weights=weights
         )
         assert weighted >= uniform
@@ -284,9 +297,23 @@ class TestThroughputWeightedPolicy:
         # degenerate: the cheaper benchmark (Hopper) gets the extra steps.
         assert weights[1] > weights[0]
 
+    def test_bound_device_affinity_keeps_the_oracle_weights(self):
+        """train_fleet binds the run's affinity onto the pool; the weighted
+        policy still prices each group's chain as a one-group fleet."""
+        pool = AcceleratorPool(
+            FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah")), 2
+        )
+        bound = pool.with_assignment({"halfcheetah": 0, "hopper": 1})
+        groups = self._groups()
+        weights = ThroughputWeightedPolicy(platform=bound).lock_steps(groups)
+        assert weights == ThroughputWeightedPolicy(platform=pool).lock_steps(groups)
+        assert weights != [1, 1]
+
     def test_unpriceable_benchmark_degrades_to_uniform(self):
-        platform = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
-        policy = ThroughputWeightedPolicy(platform=platform)
+        pool = AcceleratorPool(
+            FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
+        )
+        policy = ThroughputWeightedPolicy(platform=pool)
         groups = self._groups("halfcheetah:1,hopper:1")
         groups[0].key = "not-a-benchmark"
         assert policy.lock_steps(groups) == [1, 1]
@@ -399,15 +426,16 @@ class TestMixedWidthFleets:
 
     def test_mixed_width_platform_pricing(self):
         platform = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
+        pool = AcceleratorPool(platform)
         mixed = [("HalfCheetah", 2, 16), ("Hopper", 2, 8)]
-        round_seconds = platform.fleet_collection_round_seconds(mixed, 8)
-        report = platform.infer_fleet(mixed, 8)
+        round_seconds = pool.fleet_collection_round_seconds(mixed, 8)
+        report = pool.infer_fleet(mixed, 8)
         assert report.num_states == 2 * 16 + 2 * 8
         # The wide group's chain is priced at its own width.
         wide_chain = platform.for_benchmark("HalfCheetah").collection_round_seconds(16, 1)
         assert round_seconds >= wide_chain
         # Steps/sec accounts for the true per-group step counts.
-        steps = platform.fleet_collection_steps_per_second(mixed, 8)
+        steps = pool.fleet_collection_steps_per_second(mixed, 8)
         assert steps == pytest.approx((2 * 16 + 2 * 8) / round_seconds)
 
     def test_width_defaults_to_num_envs(self):
@@ -435,8 +463,6 @@ class TestDeviceAssignmentPolicies:
         return groups
 
     def _pool(self, devices=2, placement="colocated"):
-        from repro.platform import AcceleratorPool
-
         platform = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
         return AcceleratorPool(platform, devices, placement=placement)
 
