@@ -1,10 +1,11 @@
-"""Asynchronous multi-worker collection — steps/sec vs the single-worker engine.
+"""Multi-worker collection — steps/sec vs the single-worker engine.
 
-The async collection subsystem removes the single-process ceiling of the
-vectorized rollout engine: ``num_workers`` forked :class:`CollectorWorker`
-processes each free-run their own ``VectorEnv`` of ``num_envs`` environments
-and stream transition chunks into one shared replay buffer drained by the
-:class:`AsyncCollector` coordinator.
+The collection subsystem splits rollout across ``num_workers``
+:class:`CollectorWorker` replicas, each stepping its own ``VectorEnv`` of
+``num_envs`` environments; the :class:`AsyncCollector` coordinator steps
+them round-robin in one process and drains every lock-step into one shared
+replay buffer — the deterministic path ``train()`` and ``train_fleet()``
+run.
 
 Two throughput views are reported for worker counts {1, 2, 4} at 8 envs
 each:
@@ -15,14 +16,16 @@ each:
   fleet's batched inferences back to back.  This carries the subsystem's
   contract: **4 workers x 8 envs must collect at least 2x the steps/sec of
   1 worker x 8 envs**.
-* **measured wall-clock** — the real multi-process collector on this
-  machine.  This scales only with the CPU cores the container actually
-  grants (CI containers are often single-core, where forked workers
-  time-slice one core and no wall-clock speedup is physically possible), so
-  it is recorded for reference, not asserted.
+* **measured wall-clock** — the in-process collector on this machine, best
+  of ``MEASURE_REPEATS`` runs of ``COLLECT_STEPS`` steps each.  All workers
+  share one process, so the measured rate does not grow with the worker
+  count (each worker runs its own batch-of-``num_envs`` actor forward, so
+  it drops somewhat): the fleet's gain is a property of the modelled
+  platform, not of host processes.  It is recorded for reference, not
+  asserted.
 
 The single-worker in-process :class:`RolloutEngine` row anchors both views
-to the PR-1 baseline.
+to the engine baseline.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pytest
 
 from repro.core import format_table
 from repro.envs import HalfCheetahEnv, VectorEnv
@@ -49,6 +51,7 @@ from repro.rl import (
 NUM_ENVS = 8
 WORKER_SWEEP = (1, 2, 4)
 COLLECT_STEPS = 4096
+MEASURE_REPEATS = 3
 MODELLED_SPEEDUP_FLOOR = 2.0
 
 STATE_DIM, ACTION_DIM = 17, 6
@@ -81,19 +84,22 @@ def _make_collector(num_workers: int, agent, platform) -> AsyncCollector:
     return AsyncCollector(workers, buffer, source_agent=agent, sync_interval=512)
 
 
-@pytest.fixture(scope="module")
-def sweep_rows():
-    agent = _make_agent()
-    platform = FixarPlatform(
-        WorkloadSpec(benchmark="HalfCheetah", state_dim=STATE_DIM, action_dim=ACTION_DIM)
-    )
+def _best_collect(num_workers: int, agent, platform):
+    """The fastest of ``MEASURE_REPEATS`` warmed ``COLLECT_STEPS`` collects."""
+    best = None
+    for _ in range(MEASURE_REPEATS):
+        collector = _make_collector(num_workers, agent, platform)
+        collector.collect(512)  # warm caches and allocators
+        stats = collector.collect(COLLECT_STEPS)
+        if best is None or stats.steps_per_second > best.steps_per_second:
+            best = stats
+    return best
+
+
+def _sweep_rows(agent, platform):
     rows = []
     for num_workers in WORKER_SWEEP:
-        _make_collector(num_workers, agent, platform).collect(
-            max(512, 64 * num_workers), mode="async"
-        )  # warm forks, caches, allocators
-        collector = _make_collector(num_workers, agent, platform)
-        stats = collector.collect(COLLECT_STEPS, mode="async")
+        stats = _best_collect(num_workers, agent, platform)
         rows.append(
             {
                 "workers x envs": f"{num_workers} x {NUM_ENVS}",
@@ -111,19 +117,19 @@ def sweep_rows():
     return rows
 
 
-def test_async_collect_throughput(benchmark, sweep_rows, save_report):
+def test_async_collect_throughput(benchmark, save_report):
     agent = _make_agent()
     platform = FixarPlatform(
         WorkloadSpec(benchmark="HalfCheetah", state_dim=STATE_DIM, action_dim=ACTION_DIM)
     )
+    sweep_rows = _sweep_rows(agent, platform)
 
-    # Time the coordinator's deterministic round path (fork-free, so the
-    # benchmark fixture measures the drain machinery itself).
+    # Time the coordinator's round path (step + drain) at two workers.
     collector = _make_collector(2, agent, platform)
-    collector.collect(256, mode="sync")
-    benchmark(collector.collect, 512, mode="sync")
+    collector.collect(256)
+    benchmark(collector.collect, 512)
 
-    # The PR-1 anchor: the same budget through one in-process engine.
+    # The engine anchor: the same budget through one in-process engine.
     env = VectorEnv.make("HalfCheetah", NUM_ENVS, seed=0)
     engine = RolloutEngine(
         env,
@@ -154,7 +160,7 @@ def test_async_collect_throughput(benchmark, sweep_rows, save_report):
     report = "\n\n".join(
         [
             format_table(
-                sweep_rows, title="Async multi-worker collection (HalfCheetah, 8 envs/worker)"
+                sweep_rows, title="Multi-worker collection (HalfCheetah, 8 envs/worker)"
             ),
             format_table(summary, title="Speedups over the single-worker collector"),
             (
@@ -162,9 +168,10 @@ def test_async_collect_throughput(benchmark, sweep_rows, save_report):
                 f"{engine_stats.steps_per_second:,.1f} steps/sec measured\n"
                 f"contract: modelled platform steps/sec at 4 x {NUM_ENVS} must be >= "
                 f"{MODELLED_SPEEDUP_FLOOR}x the 1 x {NUM_ENVS} collector.\n"
-                f"measured wall-clock scales with the CPU cores this container "
-                f"grants ({os.cpu_count()} visible here) and is recorded for "
-                f"reference, not asserted."
+                f"measured: best of {MEASURE_REPEATS} x {COLLECT_STEPS} steps; the "
+                f"workers step round-robin in one process ({os.cpu_count()} CPUs "
+                f"visible here), so added workers raise only the modelled rate.  "
+                f"Recorded for reference, not asserted."
             ),
         ]
     )
@@ -175,13 +182,13 @@ def test_async_collect_throughput(benchmark, sweep_rows, save_report):
     modelled = {row["num_workers"]: row["steps/sec (modelled platform)"] for row in sweep_rows}
     assert modelled[4] >= MODELLED_SPEEDUP_FLOOR * modelled[1]
     assert [modelled[w] for w in WORKER_SWEEP] == sorted(modelled[w] for w in WORKER_SWEEP)
-    # Every fleet actually drained at least the requested budget.
-    assert all(row["steps drained"] >= COLLECT_STEPS for row in sweep_rows)
+    # Whole rounds: every fleet drains exactly the requested budget.
+    assert all(row["steps drained"] == COLLECT_STEPS for row in sweep_rows)
     assert all(row["steps/sec (measured)"] > 0 for row in sweep_rows)
 
 
 def test_async_collector_matches_engine_replay_contents():
-    """One sync worker drains exactly what the PR-1 engine inserts, bit for bit."""
+    """One shared-agent worker drains exactly what the engine inserts, bit for bit."""
     agent = _make_agent()
 
     engine_buffer = ReplayBuffer(10_000, STATE_DIM, ACTION_DIM, seed=0)
@@ -205,7 +212,7 @@ def test_async_collector_matches_engine_replay_contents():
     collector = AsyncCollector(
         [CollectorWorker(0, worker_engine, shared_agent=True)], collector_buffer
     )
-    collector.collect(1024, mode="sync")
+    collector.collect(1024)
 
     assert len(engine_buffer) == len(collector_buffer)
     for attr in ("_states", "_actions", "_rewards", "_next_states", "_dones"):

@@ -309,19 +309,20 @@ class LockDiscipline(Rule):
     only under ``self._lock``.
 
     ``ReplayBuffer`` is the single shared sink of the collection subsystem
-    — async workers ``add_batch`` while the learner ``sample``s — and the
+    — collectors ``add_batch`` while the learner ``sample``s — and the
     serving front end's ``RequestQueue`` has the same shape (producers
-    enqueue while the batcher flushes), so any private-attribute write
-    outside a ``with self._lock`` block reintroduces the torn-transition
-    races PR 2 closed.  ``__init__`` is exempt (no concurrent aliases
-    exist before construction returns).
+    enqueue while the batcher flushes).  Both promise thread safety to any
+    caller that runs producer and consumer on separate threads, so any
+    private-attribute write outside a ``with self._lock`` block would break
+    that promise with torn transitions.  ``__init__`` is exempt (no
+    concurrent aliases exist before construction returns).
     """
 
     rule_id = "lock-discipline"
     severity = "error"
     description = (
         "ReplayBuffer/RequestQueue methods must mutate shared state inside "
-        "'with self._lock' (producer/consumer classes of the async paths)"
+        "'with self._lock' (thread-safe producer/consumer classes)"
     )
 
     TARGET_CLASSES = ("ReplayBuffer", "RequestQueue")
@@ -390,8 +391,8 @@ class LockDiscipline(Rule):
                                 statement.lineno,
                                 f"{class_name}.{method.name} writes "
                                 f"self.{attr} outside 'with self._lock'; "
-                                "the state is shared across the async "
-                                "producer/consumer threads",
+                                "the state is shared between producer "
+                                "and consumer threads",
                             )
                         )
                 # Recurse into compound statements (if/for/while/try),

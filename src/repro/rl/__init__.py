@@ -16,9 +16,8 @@ scalar loop — preserved as :func:`train_scalar_reference` — bit for bit).
 Multi-worker collection builds on that seam: an :class:`AsyncCollector`
 coordinates :class:`CollectorWorker` replicas (each owning its own
 ``VectorEnv`` + engine, seeded ``seed + worker_id * num_envs + i``) around
-one shared replay buffer, with a deterministic synchronous mode used by
-:func:`train` (``TrainingConfig.num_workers``) and a free-running
-multi-process mode for raw collection throughput.  A fleet can also span
+one shared replay buffer, stepped in deterministic round-robin rounds by
+:func:`train` (``TrainingConfig.num_workers``).  A fleet can also span
 *heterogeneous benchmarks* (``TrainingConfig.fleet``, e.g.
 ``"HalfCheetah:2,Hopper:2"``): :class:`HeteroFleet` groups the workers per
 benchmark (own replay buffer and learner agent each, one shared numerics
@@ -40,12 +39,11 @@ by the *precision subsystem* (:mod:`repro.rl.precision`): a pluggable
 single fleet-wide switch, bit-exact with :class:`QATController`),
 :class:`PerLayerSchedulePolicy` (static per-layer bitwidth table), and
 :class:`RangeDrivenPolicy` (switches each layer once its activation-range
-statistics stabilise) — resolves to per-layer
-:class:`PrecisionPlan` state that the numerics, collector broadcast,
-checkpoint, and platform pricing layers all consume.  Future
-scaling layers
-(sharded accelerators, multi-backend inference) should likewise slot in
-behind the engine's ``act_batch``/``step`` seam rather than re-introducing
+statistics stabilise) — resolves to per-layer precision state on the
+shared numerics object, which checkpoints save and the platform layer
+prices through ``precision_state()``.  Future scaling layers (sharded
+accelerators, multi-backend inference) should likewise slot in behind the
+engine's ``act_batch``/``step`` seam rather than re-introducing
 per-transition calls.
 """
 
@@ -59,7 +57,6 @@ from .precision import (
     LayerSwitch,
     PerLayerSchedulePolicy,
     PrecisionEvent,
-    PrecisionPlan,
     PrecisionPolicy,
     RangeDrivenPolicy,
     register_precision_policy,
@@ -124,7 +121,6 @@ __all__ = [
     "QATController",
     "QATEvent",
     "PrecisionPolicy",
-    "PrecisionPlan",
     "PrecisionEvent",
     "LayerSwitch",
     "GlobalSwitchPolicy",

@@ -14,41 +14,33 @@ hierarchy, a registry, and a resolve function.
 A :class:`PrecisionPolicy` drives a
 :class:`~repro.nn.numerics.DynamicFixedPointNumerics` object through the
 same ``on_timestep`` surface :class:`~repro.rl.qat.QATController` exposes,
-so the training loop, the round scheduler, and the async coordinator treat
-both interchangeably:
+so the training loop and the round scheduler treat both interchangeably:
 
 * ``on_timestep(t)`` advances the schedule and returns an event when one or
   more layers switch precision (``None`` otherwise);
 * ``switched`` is *terminal* — ``True`` only once no further events are
-  possible (the async coordinator stops advancing the schedule then);
-* ``broadcast_payload()`` is what the coordinator ships through the worker
-  command pipes — a bare quantizer for the global switch, a
-  :class:`PrecisionPlan` for per-layer policies;
+  possible;
 * ``precision_state()`` is the normalized ``{"default": bits, "layers":
   {name: bits}}`` profile the platform layer prices via
   ``FixarPlatform.with_precision_state`` and the adaptive weighted
   scheduler re-prices rounds with.
 
-The resolved state of any policy is a :class:`PrecisionPlan` — per-layer
-bit widths and frozen quantizers keyed by dense-layer name
-(``actor_fc0`` ... ``actor_out``, ``critic_fc0`` ... ``critic_out``) —
-which forked collection replicas adopt via
-:meth:`~repro.nn.numerics.DynamicFixedPointNumerics.adopt_plan`.
+Layers are keyed by dense-layer name (``actor_fc0`` ... ``actor_out``,
+``critic_fc0`` ... ``critic_out``); the per-layer quantizers and bit widths
+live on the numerics object itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from ..fixedpoint import AffineQuantizer
 from ..nn.numerics import DynamicFixedPointNumerics
 from .qat import QATController, QATEvent, QATSchedule
 
 __all__ = [
     "LayerSwitch",
     "PrecisionEvent",
-    "PrecisionPlan",
     "PrecisionPolicy",
     "GlobalSwitchPolicy",
     "PerLayerSchedulePolicy",
@@ -60,7 +52,7 @@ __all__ = [
 
 
 # --------------------------------------------------------------------- #
-# Events and plans
+# Events
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class LayerSwitch:
@@ -96,42 +88,14 @@ class PrecisionEvent:
         return tuple(switch.layer for switch in self.switches)
 
 
-@dataclass(frozen=True)
-class PrecisionPlan:
-    """A policy's resolved precision state, keyed by dense-layer name.
-
-    Picklable (frozen quantizers are plain objects), so the async
-    coordinator can ship it through a worker command pipe; forked replicas
-    adopt it via ``DynamicFixedPointNumerics.adopt_plan``.  ``weight_bits``
-    and ``gradient_bits`` record that FIXAR keeps weights and gradients in
-    32-bit fixed point regardless of the activation schedule.
-    """
-
-    default_bits: int = 32
-    layer_quantizers: Dict[str, AffineQuantizer] = field(default_factory=dict)
-    layer_bits: Dict[str, int] = field(default_factory=dict)
-    global_quantizer: Optional[AffineQuantizer] = None
-    weight_bits: int = 32
-    gradient_bits: int = 32
-
-    def activation_bits(self, layer: str) -> int:
-        """The activation bit width the plan assigns to one layer."""
-        return self.layer_bits.get(layer, self.default_bits)
-
-    def precision_state(self) -> Dict[str, object]:
-        """Normalized ``{"default": bits, "layers": {name: bits}}`` profile."""
-        return {"default": self.default_bits, "layers": dict(self.layer_bits)}
-
-
 # --------------------------------------------------------------------- #
 # The policy seam
 # --------------------------------------------------------------------- #
 class PrecisionPolicy:
     """Base precision policy: drives one dynamic numerics object.
 
-    Subclasses implement :meth:`on_timestep`; everything else (plan
-    extraction, broadcast payload, normalized state) derives from the
-    numerics object's per-layer maps.  Register new policies with
+    Subclasses implement :meth:`on_timestep`; the normalized state derives
+    from the numerics object's per-layer maps.  Register new policies with
     :func:`register_precision_policy` so ``--precision-policy`` and
     :func:`resolve_precision` can find them (the ``precision-policy-parity``
     lint rule enforces this).
@@ -170,21 +134,7 @@ class PrecisionPolicy:
         """Advance the schedule; returns an event when layers switch."""
         raise NotImplementedError
 
-    def broadcast_payload(self):
-        """What the coordinator ships to forked replicas after an event."""
-        return self.plan()
-
     # -- resolved state -------------------------------------------------- #
-    def plan(self) -> PrecisionPlan:
-        """The numerics' current precision state as a shippable plan."""
-        numerics = self.numerics
-        return PrecisionPlan(
-            default_bits=numerics.activation_bits,
-            layer_quantizers=dict(numerics.layer_quantizers),
-            layer_bits=dict(numerics.layer_bits),
-            global_quantizer=numerics.quantizer if numerics.half_mode else None,
-        )
-
     def precision_state(self) -> Dict[str, object]:
         """Normalized profile for the pricing oracles and the scheduler."""
         return self.numerics.precision_profile()
@@ -277,11 +227,6 @@ class GlobalSwitchPolicy(PrecisionPolicy):
 
     def activation_bits_at(self, timestep: int) -> int:
         return self._controller.activation_bits_at(timestep)
-
-    def broadcast_payload(self):
-        # Identical pipe payload to the bare controller: the frozen global
-        # quantizer, adopted verbatim by every forked replica.
-        return self.numerics.quantizer
 
     def describe(self) -> Dict[str, object]:
         desc = super().describe()

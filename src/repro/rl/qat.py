@@ -119,14 +119,6 @@ class QATController:
         """
         return self.numerics.precision_profile()
 
-    def broadcast_payload(self):
-        """The payload shipped to forked replicas when the switch fires.
-
-        For the global switch this is the frozen activation quantizer, which
-        :meth:`CollectorWorker.apply_precision_switch` adopts verbatim.
-        """
-        return self.numerics.quantizer
-
     def activation_bits_at(self, timestep: int) -> int:
         """Activation bit width actually in effect at a timestep.
 

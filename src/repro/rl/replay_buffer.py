@@ -7,10 +7,10 @@ buffer with uniform sampling.
 
 The buffer is the single shared sink of the multi-worker collection
 subsystem: an :class:`~repro.rl.workers.AsyncCollector` drains worker
-transition batches into it via :meth:`ReplayBuffer.add_batch` while the
-learner concurrently calls :meth:`ReplayBuffer.sample`, so every mutating or
-reading method holds an internal lock — interleaved ``add_batch``/``sample``
-calls always observe whole transitions, never half-written rows.
+transition batches into it via :meth:`ReplayBuffer.add_batch` and the
+learner calls :meth:`ReplayBuffer.sample`.  Every mutating or reading method
+holds an internal lock, so a caller that runs producer and consumer on
+separate threads still observes whole transitions, never half-written rows.
 """
 
 from __future__ import annotations

@@ -604,7 +604,9 @@ class RoundScheduler:
     This is the single home of the round/drain/update/evaluate bookkeeping
     that used to live inline (twice) in ``train()`` and ``train_fleet()``:
 
-    1. advance the QAT controller by the round's environment steps;
+    1. advance the QAT controller by the round's environment steps; on a
+       precision event, rebind every engine's platform to the new
+       precision state before the round collects;
     2. **collect** — each group runs its policy-weighted number of
        deterministic collector rounds, in spec order (drained immediately at
        depth 0, deferred behind the bounded-staleness window otherwise);
@@ -799,12 +801,30 @@ class RoundScheduler:
         they were collected under).
         """
         new_weights = self.policy.relock(
-            self.groups,
-            self.platform,
-            getattr(self.qat_controller, "precision_state", lambda: None)(),
+            self.groups, self.platform, self._precision_state()
         )
         if new_weights is not None:
             self.weights = self._validated_weights(new_weights)
+
+    def _precision_state(self):
+        return getattr(self.qat_controller, "precision_state", lambda: None)()
+
+    def _reprice_engines(self) -> None:
+        """Rebind every engine's platform to the live precision state.
+
+        Platforms are immutable, so each engine gets the
+        ``with_precision_state`` sibling of the platform it already holds —
+        a bare platform, a device pool, or a fleet group's per-device
+        platform alike (duck-typed: ``rl`` never imports the platform
+        layer).  The engines' price caches key on platform identity, so the
+        next lock-step is priced at the new bit widths.
+        """
+        state = self._precision_state()
+        for group in self.groups:
+            for worker in group.collector.workers:
+                engine = worker.engine
+                if engine.platform is not None:
+                    engine.platform = engine.platform.with_precision_state(state)
 
     def run(self) -> ScheduleOutcome:
         """Run the whole schedule and return the bookkeeping totals."""
@@ -825,9 +845,9 @@ class RoundScheduler:
             global_step = collected
 
             # QAT advances with the collection timeline: the precision
-            # driver counts environment steps, and in-process replicas share
-            # the learner's numerics object, so a precision switch applies
-            # to collection immediately — the (lagging) pipelined learner
+            # driver counts environment steps, and the replicas share the
+            # learner's numerics object, so a precision switch applies to
+            # collection immediately — the (lagging) pipelined learner
             # then runs its remaining updates at the new precision, exactly
             # as a wall-clock switch would.
             event_fired = False
@@ -837,6 +857,10 @@ class RoundScheduler:
                     if event is not None:
                         self._qat_event = event
                         event_fired = True
+            if event_fired:
+                # The numerics already switched, so this round's lock-steps
+                # run (and must be priced) at the new precision.
+                self._reprice_engines()
 
             if depth == 0:
                 # Sequential schedule: collect a round, then consume it.

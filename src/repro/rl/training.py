@@ -101,11 +101,10 @@ class TrainingConfig:
     num_envs: int = 1
     #: Collection workers, each owning its own ``VectorEnv`` of ``num_envs``
     #: environments (seeded ``seed + worker_id * num_envs + i``) and an actor
-    #: replica.  ``train`` schedules the workers deterministically
-    #: (round-robin synchronous mode), so runs stay reproducible; with
+    #: replica.  ``train`` steps the workers in deterministic round-robin
+    #: rounds in one process, so runs stay reproducible; with
     #: ``num_workers == 1`` the loop is bit-exact with the single-engine
-    #: path.  The free-running multi-process mode is exposed through
-    #: :class:`~repro.rl.workers.AsyncCollector` directly.
+    #: path.
     num_workers: int = 1
     #: Environment steps between actor-weight broadcasts to the worker
     #: replicas (ignored with ``num_workers == 1``, where the worker acts

@@ -2,7 +2,7 @@
 
 Serving mirrors the collection subsystem's concurrency shape: producers
 (the load front end) enqueue inference requests while the dynamic batcher
-drains them flush by flush, exactly like async collectors ``add_batch``-ing
+drains them flush by flush, exactly like collectors ``add_batch``-ing
 into the :class:`~repro.rl.replay_buffer.ReplayBuffer` while the learner
 samples.  The queue therefore follows the same lock discipline — every
 state mutation happens inside ``with self._lock`` — and the

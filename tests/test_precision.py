@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.envs import HalfCheetahEnv
+from repro.envs.registry import benchmark_dimensions
 from repro.nn import DynamicFixedPointNumerics, make_numerics
 from repro.platform import AcceleratorPool, FixarPlatform, WorkloadSpec
 from repro.rl import (
@@ -22,15 +23,16 @@ from repro.rl import (
     DDPGConfig,
     GlobalSwitchPolicy,
     PerLayerSchedulePolicy,
-    PrecisionPlan,
     PrecisionPolicy,
     QATController,
     QATSchedule,
     RangeDrivenPolicy,
+    RolloutEngine,
     TrainingConfig,
     register_precision_policy,
     resolve_precision,
     train,
+    train_fleet,
 )
 from repro.rl.scheduler import ThroughputWeightedPolicy
 
@@ -127,14 +129,6 @@ class TestGlobalSwitchPolicy:
         assert b.half_mode
         assert b.quantizer.delta == a.quantizer.delta
         assert b.quantizer.zero_point == a.quantizer.zero_point
-
-    def test_broadcast_payload_is_the_bare_quantizer(self, rng):
-        numerics = _numerics()
-        numerics.observe_activation(rng.uniform(-1, 1, size=50))
-        policy = GlobalSwitchPolicy(numerics, QATSchedule(16, quantization_delay=0))
-        assert policy.on_timestep(0) is not None
-        # Identical pipe payload to the pre-refactor coordinator broadcast.
-        assert policy.broadcast_payload() is numerics.quantizer
 
     def test_from_spec_grammar(self):
         policy = GlobalSwitchPolicy.from_spec(_numerics(), "16@1000")
@@ -276,27 +270,6 @@ class TestPerLayerSchedulePolicy:
         assert switch.activation_max == pytest.approx(3.0)
         assert switch.delta == quantizer.delta
         assert switch.zero_point == quantizer.zero_point
-
-    def test_plan_roundtrips_through_adopt_plan(self):
-        numerics = _numerics()
-        for layer in ("actor_fc0", "actor_out"):
-            _observe(numerics, layer)
-        policy = PerLayerSchedulePolicy(numerics, [("actor", 16, 0)])
-        policy.on_timestep(0)
-        plan = policy.plan()
-        assert isinstance(plan, PrecisionPlan)
-        assert plan.activation_bits("actor_fc0") == 16
-        assert plan.activation_bits("critic_fc0") == 32
-        assert plan.weight_bits == 32 and plan.gradient_bits == 32
-        assert policy.broadcast_payload() == plan
-
-        replica = _numerics()
-        replica.adopt_plan(plan)
-        assert replica.layer_activation_bits("actor_fc0") == 16
-        original = numerics.layer_quantizers["actor_fc0"]
-        adopted = replica.layer_quantizers["actor_fc0"]
-        assert adopted.delta == original.delta
-        assert adopted.zero_point == original.zero_point
 
     def test_precision_state_reports_partial_plan(self):
         numerics = _numerics()
@@ -533,3 +506,193 @@ class TestAdaptiveRelock:
             platform=pool, adaptive=True, weights={"hopper": 3}
         )
         assert policy.relock(self._groups(), precision_state=self._half_state()) is None
+
+
+# --------------------------------------------------------------------- #
+# The modelled clock follows precision events
+# --------------------------------------------------------------------- #
+def _pricing_identity(platform):
+    """What a platform's prices depend on: its bit widths, device by device."""
+    devices = getattr(platform, "devices", None)
+    if devices is not None:
+        return tuple(_pricing_identity(device) for device in devices)
+    return (platform.half_precision, platform.precision_state)
+
+
+class TestModelledClockFollowsPrecision:
+    """Every priced lock-step is priced at the bit widths the actor ran at.
+
+    A spy on ``RolloutEngine.step`` records, for each priced lock-step, the
+    platform the engine held and the numerics' precision profile at that
+    inference.  The engine's running ``modelled_platform_seconds`` must
+    equal, step for step, the direct ``infer_batch(n)`` prices of its
+    initial (32-bit) platform before the switch and of that platform's
+    ``with_precision_state`` sibling after it.
+    """
+
+    NUM_ENVS = 8
+
+    @pytest.fixture
+    def priced_steps(self, monkeypatch):
+        records = []
+        step = RolloutEngine.step
+
+        def spy(engine):
+            before = engine.modelled_platform_seconds
+            platform = engine.platform
+            profile = engine.agent.actor.numerics.precision_profile()
+            transitions = step(engine)
+            if engine.modelled_platform_seconds != before:
+                records.append(
+                    (engine, platform, profile, engine.modelled_platform_seconds)
+                )
+            return transitions
+
+        monkeypatch.setattr(RolloutEngine, "step", spy)
+        return records
+
+    def _config(self, **overrides):
+        return _config(
+            160,
+            warmup_timesteps=16,
+            evaluation_interval=160,
+            evaluation_episodes=1,
+            num_envs=self.NUM_ENVS,
+            **overrides,
+        )
+
+    def _assert_priced_at_live_precision(self, records):
+        initial = {}
+        expected = {}
+        profiles = []
+        for engine, platform, profile, cumulative in records:
+            base = initial.setdefault(id(engine), platform)
+            reference = base.with_precision_state(profile)
+            assert _pricing_identity(platform) == _pricing_identity(reference)
+            expected[id(engine)] = expected.get(id(engine), 0.0) + (
+                reference.infer_batch(engine.num_envs).total_seconds
+            )
+            assert cumulative == expected[id(engine)]
+            if profile not in profiles:
+                profiles.append(profile)
+        # Both sides of the switch were priced, on different platforms.
+        assert profiles[0] == {"default": 32, "layers": {}}
+        assert len(profiles) >= 2
+        return profiles
+
+    def _half_price_differs(self, platform):
+        half = platform.with_precision_state({"default": 16, "layers": {}})
+        assert (
+            half.infer_batch(self.NUM_ENVS).total_seconds
+            != platform.infer_batch(self.NUM_ENVS).total_seconds
+        )
+
+    def _global_switch_run(self, platform, **overrides):
+        env = HalfCheetahEnv(seed=0, max_episode_steps=50)
+        agent = _small_agent(np.random.default_rng(7), env)
+        controller = QATController(
+            agent.numerics, QATSchedule(16, quantization_delay=48)
+        )
+        result = train(
+            env,
+            agent,
+            self._config(**overrides),
+            eval_env=HalfCheetahEnv(seed=1, max_episode_steps=50),
+            qat_controller=controller,
+            platform=platform,
+        )
+        assert result.qat_event is not None and result.qat_event.timestep == 48
+        return agent
+
+    def test_global_switch_on_a_bare_platform(self, priced_steps):
+        platform = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
+        self._half_price_differs(platform)
+        self._global_switch_run(platform)
+        profiles = self._assert_priced_at_live_precision(priced_steps)
+        assert profiles == [
+            {"default": 32, "layers": {}},
+            {"default": 16, "layers": {}},
+        ]
+
+    def test_global_switch_reprices_every_worker(self, priced_steps):
+        platform = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
+        self._global_switch_run(platform, num_workers=2)
+        profiles = self._assert_priced_at_live_precision(priced_steps)
+        assert profiles[-1] == {"default": 16, "layers": {}}
+        engines = {id(engine) for engine, *_ in priced_steps}
+        assert len(engines) == 2  # both workers' engines were re-priced
+
+    def test_platform_stays_bound_without_an_event(self, priced_steps):
+        platform = FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
+        env = HalfCheetahEnv(seed=0, max_episode_steps=50)
+        agent = _small_agent(np.random.default_rng(7), env)
+        # A switch scheduled past the end of the run: the driver advances
+        # every round but never fires.
+        controller = QATController(
+            agent.numerics, QATSchedule(16, quantization_delay=10_000)
+        )
+        result = train(
+            env,
+            agent,
+            self._config(),
+            eval_env=HalfCheetahEnv(seed=1, max_episode_steps=50),
+            qat_controller=controller,
+            platform=platform,
+        )
+        assert result.qat_event is None
+        assert priced_steps
+        # No precision event, no rebind: the engine keeps the very platform
+        # it was given (its price cache keys on that identity).
+        for _engine, bound, profile, _cumulative in priced_steps:
+            assert bound is platform
+            assert profile == {"default": 32, "layers": {}}
+
+    def test_unpriced_run_stays_unpriced_across_a_switch(self, priced_steps):
+        agent = self._global_switch_run(None)
+        assert agent.numerics.half_mode
+        assert priced_steps == []
+
+    def test_global_switch_on_a_two_device_pool(self, priced_steps):
+        pool = AcceleratorPool(
+            FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah")),
+            num_devices=2,
+        )
+        self._global_switch_run(pool, devices=2)
+        profiles = self._assert_priced_at_live_precision(priced_steps)
+        assert profiles[-1] == {"default": 16, "layers": {}}
+        assert all(
+            isinstance(platform, AcceleratorPool)
+            for _engine, platform, _profile, _cum in priced_steps
+        )
+
+    def test_per_layer_policy_on_a_fleet(self, priced_steps):
+        numerics = _numerics()
+        agents = {
+            name: DDPGAgent(
+                benchmark_dimensions(name)["state_dim"],
+                benchmark_dimensions(name)["action_dim"],
+                DDPGConfig(hidden_sizes=(24, 16)),
+                numerics=numerics,
+                rng=np.random.default_rng(seed),
+            )
+            for seed, name in enumerate(("HalfCheetah", "Hopper"), start=1)
+        }
+        pool = AcceleratorPool(
+            FixarPlatform(WorkloadSpec.from_benchmark("HalfCheetah"))
+        )
+        train_fleet(
+            agents,
+            self._config(
+                fleet="HalfCheetah:1,Hopper:1",
+                precision="per-layer",
+                precision_spec="actor=16@48,critic_out=16@96",
+            ),
+            platform=pool,
+        )
+        profiles = self._assert_priced_at_live_precision(priced_steps)
+        # Two per-layer events: the actor at 48, then the critic head at 96.
+        assert len(profiles) == 3
+        assert set(profiles[1]["layers"].values()) == {16}
+        assert "critic_out" in profiles[2]["layers"]
+        engines = {id(engine) for engine, *_ in priced_steps}
+        assert len(engines) == 2  # one engine per fleet group, both checked

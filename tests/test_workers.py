@@ -1,4 +1,4 @@
-"""Tests for the asynchronous multi-worker collection subsystem.
+"""Tests for the multi-worker collection subsystem.
 
 The load-bearing guarantees:
 
@@ -8,8 +8,8 @@ The load-bearing guarantees:
 * the synchronous collector with one shared-agent worker is *bit-exact*
   with driving the PR-1 :class:`RolloutEngine` directly, which extends the
   scalar-equivalence oracle to ``train(num_workers=1)``;
-* the asynchronous (multi-process) mode drains every worker's transitions
-  into the one shared replay buffer and aggregates per-worker stats.
+* multi-worker rounds drain every worker's transitions into the one shared
+  replay buffer deterministically and aggregate per-worker stats.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.envs import HopperEnv, VectorEnv
-from repro.nn import make_numerics
+from repro.nn import DynamicFixedPointNumerics, make_numerics
 from repro.platform import FixarPlatform, WorkloadSpec
 from repro.rl import (
     ActorPolicy,
@@ -27,6 +27,8 @@ from repro.rl import (
     DDPGAgent,
     DDPGConfig,
     GaussianNoise,
+    QATController,
+    QATSchedule,
     ReplayBuffer,
     RolloutEngine,
     TrainingConfig,
@@ -126,15 +128,6 @@ class TestCollectorWorker:
         with pytest.raises(ValueError, match="shared"):
             CollectorWorker(0, engine)
 
-    def test_collect_chunk_stacks_lock_steps(self):
-        agent = _agent(HopperEnv())
-        worker = _worker(0, agent, num_envs=2)
-        worker.engine.reset()
-        chunk = worker.collect_chunk(3)
-        assert chunk["steps"] == 6
-        assert chunk["states"].shape == (6, worker.engine.env.state_dim)
-        assert chunk["dones"].shape == (6,)
-
     def test_stats_snapshot_counts(self):
         agent = _agent(HopperEnv())
         platform = FixarPlatform(WorkloadSpec.from_environment(HopperEnv()))
@@ -170,7 +163,7 @@ class TestSyncCollector:
         collector = AsyncCollector(
             [CollectorWorker(0, worker_engine, shared_agent=True)], collector_buffer
         )
-        stats = collector.collect(200, mode="sync")
+        stats = collector.collect(200)
 
         assert stats.total_steps == engine.total_env_steps
         assert len(engine_buffer) == len(collector_buffer)
@@ -186,7 +179,7 @@ class TestSyncCollector:
             buffer = ReplayBuffer(5_000, 11, 6, seed=0)
             workers = [_worker(w, agent, num_envs=2, seed=5) for w in range(3)]
             collector = AsyncCollector(workers, buffer, source_agent=agent)
-            collector.collect(120, mode="sync")
+            collector.collect(120)
             return buffer
 
         first, second = run(), run()
@@ -232,11 +225,34 @@ class TestSyncCollector:
         with pytest.raises(ValueError, match="sync_interval"):
             AsyncCollector([_worker(0, agent, num_envs=2)], buffer, sync_interval=0)
 
+    def test_rejects_non_positive_step_budget(self):
+        agent = _agent(HopperEnv())
+        collector = AsyncCollector(
+            [_worker(0, agent, num_envs=2)], ReplayBuffer(100, 11, 6)
+        )
+        with pytest.raises(ValueError, match="num_steps"):
+            collector.collect(0)
 
-class TestAsyncMode:
+    def test_collect_stacks_lock_steps_into_buffer(self):
+        """collect() drains whole lock-steps, in order, rounding the budget up."""
+        agent = _agent(HopperEnv())
+        buffer = ReplayBuffer(100, 11, 6, seed=0)
+        collector = AsyncCollector([_worker(0, agent, num_envs=2)], buffer)
+        twin = _worker(0, agent, num_envs=2)
+
+        stats = collector.collect(5)  # rounds up to three 2-wide lock-steps
+        assert stats.total_steps == 6
+        assert stats.iterations == 3
+        assert len(buffer) == 6
+        lock_steps = [twin.step() for _ in range(3)]
+        for attr in ("states", "actions", "rewards", "next_states", "dones"):
+            stored = getattr(buffer, f"_{attr}")[:6]
+            stacked = np.concatenate([getattr(step, attr) for step in lock_steps])
+            np.testing.assert_array_equal(stored, stacked.reshape(stored.shape))
+
     @pytest.mark.smoke
-    def test_async_collect_smoke(self):
-        """2 forked workers x 2 envs drain into one shared buffer."""
+    def test_multi_worker_collect_smoke(self):
+        """2 workers x 2 envs drain into one shared buffer."""
         agent = _agent(HopperEnv())
         platform = FixarPlatform(WorkloadSpec.from_environment(HopperEnv()))
         buffer = ReplayBuffer(10_000, 11, 6, seed=0)
@@ -246,64 +262,46 @@ class TestAsyncMode:
         collector = AsyncCollector(
             workers, buffer, source_agent=agent, sync_interval=16
         )
-        stats = collector.collect(64, mode="async", timeout=60)
-        assert stats.mode == "async"
-        assert stats.total_steps >= 64
-        assert len(buffer) == min(stats.total_steps, buffer.capacity)
+        stats = collector.collect(64)
+        assert stats.num_workers == 2
+        assert stats.total_steps == 64 == collector.total_env_steps
+        assert len(buffer) == 64
         assert stats.steps_per_second > 0
         assert stats.modelled_platform_seconds > 0
-        assert len(stats.per_worker) == 2
-        assert all(worker_stats.total_steps > 0 for worker_stats in stats.per_worker)
-        # Per-worker exit stats count only delivered chunks, so they agree
-        # exactly with what the coordinator drained.
-        assert sum(w.total_steps for w in stats.per_worker) == stats.total_steps
-
-    def test_repeated_async_collects_continue_trajectories(self):
-        """The coordinator adopts the children's advanced state: a second
-        async collect continues the workers' env/RNG streams instead of
-        replaying identical transitions from the pre-fork snapshot."""
-        agent = _agent(HopperEnv())
-        buffer = ReplayBuffer(10_000, 11, 6, seed=0)
-        collector = AsyncCollector(
-            [_worker(0, agent, num_envs=2)], buffer, sync_interval=1_000_000
+        assert [w.total_steps for w in stats.per_worker] == [32, 32]
+        assert stats.modelled_platform_seconds == sum(
+            w.modelled_platform_seconds for w in stats.per_worker
         )
-        first = collector.collect(32, mode="async", timeout=60)
-        steps_after_first = collector.total_env_steps
-        assert steps_after_first >= first.total_steps  # counters advanced
-        size_first = len(buffer)
-        first_row = buffer._states[0].copy()
 
-        collector.collect(32, mode="async", timeout=60)
-        assert collector.total_env_steps > steps_after_first
-        # The replay bug made the second run re-insert the first run's rows.
-        assert not np.array_equal(buffer._states[size_first], first_row)
+    def test_repeated_collects_continue_trajectories(self):
+        """A second collect() continues the workers' env/RNG streams: two
+        collects of 32 steps fill the buffer exactly like one of 64."""
 
-    def test_rejects_unknown_mode(self):
-        agent = _agent(HopperEnv())
-        collector = AsyncCollector(
-            [_worker(0, agent, num_envs=2)], ReplayBuffer(100, 11, 6)
-        )
-        with pytest.raises(ValueError, match="mode"):
-            collector.collect(10, mode="turbo")
-        with pytest.raises(ValueError, match="num_steps"):
-            collector.collect(0)
+        def collector():
+            agent = _agent(HopperEnv())
+            buffer = ReplayBuffer(10_000, 11, 6, seed=0)
+            workers = [_worker(w, agent, num_envs=2) for w in range(2)]
+            return AsyncCollector(workers, buffer, sync_interval=1_000_000)
+
+        split, whole = collector(), collector()
+        split.collect(32)
+        first_rows = split.buffer._states[:32].copy()
+        split.collect(32)
+        whole.collect(64)
+
+        assert split.total_env_steps == whole.total_env_steps == 64
+        assert not np.array_equal(split.buffer._states[32:64], first_rows)
+        for attr in ("_states", "_actions", "_rewards", "_next_states", "_dones"):
+            np.testing.assert_array_equal(
+                getattr(split.buffer, attr), getattr(whole.buffer, attr)
+            )
 
 
-class TestForkedReplicaQatPropagation:
-    """The PR-2/PR-4 open seam: a QAT switch must reach *forked* replicas.
-
-    In-process replicas share the learner's numerics object, so a precision
-    switch lands on them implicitly; a forked worker owns a snapshot copy.
-    The coordinator therefore drives the shared QAT controller on the
-    drained step count and, when the switch fires mid-flight, broadcasts a
-    ``("precision", quantizer)`` control message through every worker's
-    command pipe — the regression below pins that the adopted post-run
-    replicas really switched and adopted the *learner's* quantization grid.
-    """
+class TestSharedNumericsPrecision:
+    """Replicas share the learner's numerics object, so a precision switch
+    lands on every worker at once, with nothing to deliver to them."""
 
     def _dynamic_agent(self, env):
-        from repro.nn import DynamicFixedPointNumerics
-
         return DDPGAgent(
             env.state_dim,
             env.action_dim,
@@ -312,106 +310,73 @@ class TestForkedReplicaQatPropagation:
             rng=np.random.default_rng(42),
         )
 
-    def test_precision_switch_reaches_forked_replicas_mid_flight(self):
-        from repro.rl import QATController, QATSchedule
-
+    def test_precision_switch_reaches_every_replica(self):
         env = HopperEnv(seed=0, max_episode_steps=30)
         agent = self._dynamic_agent(env)
-        # The learner has observed activations (as any real training loop
-        # has, through its updates), so its range tracker is initialized and
-        # the controller can freeze a quantizer the fleet should adopt.
-        agent.act(env.reset())
-        assert agent.numerics.range_tracker.initialized
-
+        agent.act(env.reset())  # initializes the learner's range tracker
         controller = QATController(
             agent.numerics, QATSchedule(num_bits=16, quantization_delay=16)
         )
-        buffer = ReplayBuffer(10_000, 11, 6, seed=0)
-        workers = [_worker(w, agent, num_envs=2) for w in range(2)]
-        for worker in workers:
-            replica_numerics = worker.engine.agent.actor.numerics
-            assert replica_numerics is agent.numerics  # shared until the fork
-        collector = AsyncCollector(
-            workers,
-            buffer,
-            source_agent=agent,
-            sync_interval=1_000_000,  # isolate the precision message
-            qat_controller=controller,
-        )
-        stats = collector.collect(128, mode="async", timeout=60)
-
-        assert stats.total_steps >= 128
-        assert controller.switched
-        assert agent.numerics.half_mode
-        for worker in workers:
-            replica_numerics = worker.engine.agent.actor.numerics
-            # The adopted engine is the child's copy — a different object —
-            # and it picked the switch up through the command pipe.
-            assert replica_numerics is not agent.numerics
-            assert replica_numerics.half_mode
-            # The replica adopted the learner's frozen quantizer, not a
-            # privately observed range: one quantization grid fleet-wide.
-            assert replica_numerics.quantizer is not None
-            assert replica_numerics.quantizer.delta == agent.numerics.quantizer.delta
-            assert (
-                replica_numerics.quantizer.zero_point
-                == agent.numerics.quantizer.zero_point
-            )
-
-    def test_switch_counts_steps_across_multiple_collects(self):
-        """The quantization delay spans collect() calls: the coordinator's
-        fleet-wide step counter must be cumulative, not per-call."""
-        from repro.rl import QATController, QATSchedule
-
-        env = HopperEnv(seed=0, max_episode_steps=30)
-        agent = self._dynamic_agent(env)
-        agent.act(env.reset())
-        # The delay is far beyond any single collect's worst-case overshoot
-        # (stragglers already queued when the stop lands), but within the
-        # two collects' combined minimum.
-        controller = QATController(
-            agent.numerics, QATSchedule(num_bits=16, quantization_delay=256)
-        )
-        buffer = ReplayBuffer(10_000, 11, 6, seed=0)
         workers = [_worker(w, agent, num_envs=2) for w in range(2)]
         collector = AsyncCollector(
             workers,
-            buffer,
+            ReplayBuffer(10_000, 11, 6, seed=0),
             source_agent=agent,
             sync_interval=1_000_000,
+        )
+        states = np.random.default_rng(0).normal(size=(5, env.state_dim))
+        collector.collect(16)
+        full_precision = [w.engine.agent.act_batch(states) for w in workers]
+        assert not agent.numerics.half_mode
+
+        assert controller.on_timestep(collector.total_env_steps) is not None
+        assert agent.numerics.half_mode
+        for worker, before in zip(workers, full_precision):
+            replica = worker.engine.agent
+            assert replica.actor.numerics is agent.numerics
+            after = replica.act_batch(states)
+            # The replica acts on the learner's frozen grid: bit-identical to
+            # the learner itself, and no longer what it computed at 32 bits.
+            np.testing.assert_array_equal(after, agent.act_batch(states))
+            assert not np.array_equal(after, before)
+
+    def test_switch_applies_from_the_round_that_crosses_the_delay(self, monkeypatch):
+        """train(num_workers=2) counts the delay in fleet-wide steps across
+        rounds; every worker runs at 16 bits from the crossing round on."""
+        records = []
+        step = RolloutEngine.step
+
+        def spy(engine):
+            numerics = engine.agent.actor.numerics
+            records.append((id(engine), engine.total_env_steps, numerics.half_mode))
+            return step(engine)
+
+        monkeypatch.setattr(RolloutEngine, "step", spy)
+        env = HopperEnv(seed=5, max_episode_steps=40)
+        agent = self._dynamic_agent(env)
+        controller = QATController(
+            agent.numerics, QATSchedule(num_bits=16, quantization_delay=50)
+        )
+        config = _config(
+            total_timesteps=120,
+            warmup_timesteps=20,
+            num_envs=2,
+            num_workers=2,
+            evaluation_interval=120,
+        )
+        result = train(
+            env,
+            agent,
+            config,
+            eval_env=HopperEnv(seed=9, max_episode_steps=40),
             qat_controller=controller,
         )
-        collector.collect(64, mode="async", timeout=60)
-        assert not controller.switched  # delay not reached yet
-        collector.collect(256, mode="async", timeout=60)
-        assert controller.switched  # cumulative 320+ steps crossed 256
-        for worker in workers:
-            assert worker.engine.agent.actor.numerics.half_mode
-
-    def test_apply_precision_switch_is_idempotent_and_guarded(self):
-        env = HopperEnv(seed=0, max_episode_steps=30)
-        dynamic_agent = self._dynamic_agent(env)
-        worker = _worker(0, dynamic_agent, num_envs=2)
-        numerics = worker.engine.agent.actor.numerics
-
-        # Without a quantizer and without an initialized tracker: no-op.
-        worker.apply_precision_switch(None)
-        assert not numerics.half_mode
-
-        # With the worker's own observed range: freezes locally.
-        worker.engine.reset()
-        worker.step()
-        worker.apply_precision_switch(None)
-        assert numerics.half_mode
-        first_quantizer = numerics.quantizer
-
-        # Already switched: a second message must not re-freeze.
-        worker.apply_precision_switch(None)
-        assert numerics.quantizer is first_quantizer
-
-        # Non-dynamic numerics: the message is ignored entirely.
-        float_worker = _worker(1, _agent(env), num_envs=2)
-        float_worker.apply_precision_switch(None)  # must not raise
+        assert result.qat_event is not None and result.qat_event.timestep == 50
+        assert len({engine for engine, _steps, _half in records}) == 2
+        assert len(records) == 120 // 2
+        for _engine, steps_before, half in records:
+            round_start = 2 * steps_before  # two workers x two envs a round
+            assert half == (round_start + 4 > 50)
 
 
 class TestTrainWithWorkers:
@@ -564,7 +529,7 @@ class TestPlatformAccounting:
         buffer = ReplayBuffer(5_000, 11, 6, seed=0)
         workers = [_worker(w, agent, num_envs=2, platform=platform) for w in range(2)]
         collector = AsyncCollector(workers, buffer, source_agent=agent)
-        stats = collector.collect(40, mode="sync")
+        stats = collector.collect(40)
         lock_steps_per_worker = stats.per_worker[0].iterations
         expected = (
             2 * lock_steps_per_worker * platform.infer_batch(2).total_seconds
